@@ -1,29 +1,14 @@
 """Hot numeric kernels: dense tableau simplex and an SMO solver for the SVM dual.
 
-Both functions are written in nopython-compatible numpy so they can be JIT
-compiled when numba is available.  Without numba they run unchanged as plain
-Python (slower, bit-identical results: no fastmath, fixed operation order).
+Both are plain numpy: each pivot and each SMO step is a handful of whole-array
+operations, with no compiled extension.  Selection rules break ties towards
+the first index, as a scan in index order would, and every tableau and
+gradient entry is updated with the same products and subtractions as an
+element-by-element loop, so the pivot and pair sequences are deterministic.
 """
 from __future__ import annotations
 
 import numpy as np
-
-try:  # pragma: no cover - exercised implicitly
-    from numba import njit
-
-    _HAVE_NUMBA = True
-except ImportError:  # pragma: no cover
-    _HAVE_NUMBA = False
-
-    def njit(*args, **kwargs):
-        if args and callable(args[0]):
-            return args[0]
-
-        def wrap(fn):
-            return fn
-
-        return wrap
-
 
 LP_OPTIMAL = 0
 LP_INFEASIBLE = 1
@@ -38,19 +23,15 @@ _RATIO_TIE = 1e-9
 _BLOWUP = 1e12        # tableau magnitude that signals numerical breakdown
 
 
-@njit(cache=True)
 def _pivot(T, basis, row, col):
-    piv = T[row, col]
-    T[row, :] /= piv
-    for i in range(T.shape[0]):
-        if i != row:
-            f = T[i, col]
-            if f != 0.0:
-                T[i, :] -= f * T[row, :]
+    T[row, :] /= T[row, col]
+    f = T[:, col].copy()
+    f[row] = 0.0
+    rows = np.flatnonzero(f)
+    T[rows, :] -= f[rows, None] * T[row, :]
     basis[row] = col
 
 
-@njit(cache=True)
 def _simplex_iterate(T, basis, ncols, max_iter):
     """Minimize the cost row over columns [0, ncols).
 
@@ -60,54 +41,30 @@ def _simplex_iterate(T, basis, ncols, max_iter):
     largest pivot element wins, which keeps the tableau well conditioned on
     heavily degenerate instances."""
     m = T.shape[0] - 1
+    cost = T[m, :ncols]
     stall = 0
     bland = False
     for _ in range(max_iter):
-        col = -1
         if bland:
-            for j in range(ncols):
-                if T[m, j] < -_COST_TOL:
-                    col = j
-                    break
+            col = int(np.argmax(cost < -_COST_TOL))
         else:
-            best = -_COST_TOL
-            for j in range(ncols):
-                if T[m, j] < best:
-                    best = T[m, j]
-                    col = j
-        if col < 0:
+            col = int(np.argmin(cost))
+        if not cost[col] < -_COST_TOL:
             return LP_OPTIMAL
-        col_max = 0.0
-        for i in range(m):
-            a = abs(T[i, col])
-            if a > col_max:
-                col_max = a
-        eligible = _PIVOT_MIN
-        if _PIVOT_REL * col_max > eligible:
-            eligible = _PIVOT_REL * col_max
-        best_ratio = np.inf
-        for i in range(m):
-            a = T[i, col]
-            if a > eligible:
-                r = T[i, -1] / a
-                if r < best_ratio:
-                    best_ratio = r
+        a = T[:m, col]
+        eligible = max(_PIVOT_MIN, _PIVOT_REL * np.abs(a).max(initial=0.0))
+        rows = np.flatnonzero(a > eligible)
+        if rows.size == 0:
+            return LP_UNBOUNDED
+        ratios = T[rows, -1] / a[rows]
+        best_ratio = ratios.min()
         if not np.isfinite(best_ratio):
             return LP_UNBOUNDED
-        band = best_ratio + _RATIO_TIE * (1.0 + abs(best_ratio))
-        row = -1
-        best_piv = 0.0
-        for i in range(m):
-            a = T[i, col]
-            if a > eligible:
-                r = T[i, -1] / a
-                if r <= band:
-                    if bland:
-                        if row < 0 or basis[i] < basis[row]:
-                            row = i
-                    elif a > best_piv:
-                        best_piv = a
-                        row = i
+        tied = rows[ratios <= best_ratio + _RATIO_TIE * (1.0 + abs(best_ratio))]
+        if bland:
+            row = tied[np.argmin(basis[tied])]
+        else:
+            row = tied[np.argmax(a[tied])]
         if best_ratio < 1e-12:
             stall += 1
             if stall > 80:
@@ -116,17 +73,11 @@ def _simplex_iterate(T, basis, ncols, max_iter):
             stall = 0
             bland = False
         _pivot(T, basis, row, col)
-        blew = False
-        for j in range(T.shape[1]):
-            if abs(T[m, j]) > _BLOWUP:
-                blew = True
-                break
-        if blew:
+        if np.abs(T[m]).max() > _BLOWUP:
             return LP_BREAKDOWN
     return LP_ITERATION_LIMIT
 
 
-@njit(cache=True)
 def simplex_standard(A, b, c, feas_tol, max_iter):
     """Two-phase simplex for min c.x s.t. A x = b, x >= 0.
 
@@ -135,24 +86,16 @@ def simplex_standard(A, b, c, feas_tol, max_iter):
     """
     m, n = A.shape
     T = np.zeros((m + 1, n + m + 1))
-    for i in range(m):
-        if b[i] >= 0.0:
-            T[i, :n] = A[i]
-            T[i, -1] = b[i]
-        else:
-            T[i, :n] = -A[i]
-            T[i, -1] = -b[i]
-        T[i, n + i] = 1.0
+    flip = ~(b >= 0.0)
+    T[:m, :n] = np.where(flip[:, None], -A, A)
+    T[:m, -1] = np.where(flip, -b, b)
+    T[np.arange(m), n + np.arange(m)] = 1.0
     basis = np.arange(n, n + m)
-    # phase-1 reduced costs: cost 1 on artificials, basis = artificials
-    for j in range(n):
-        s = 0.0
-        for i in range(m):
-            s += T[i, j]
-        T[m, j] = -s
-    T[m, -1] = 0.0
-    for i in range(m):
-        T[m, -1] -= T[i, -1]
+    # phase-1 reduced costs: cost 1 on artificials, basis = artificials; the
+    # axis-0 sum adds the rows in order
+    colsum = T[:m].sum(axis=0)
+    T[m, :n] = -colsum[:n]
+    T[m, -1] = -colsum[-1]
     status = _simplex_iterate(T, basis, n + m, max_iter)
     infeas = -T[m, -1]
     x = np.zeros(n)
@@ -165,109 +108,68 @@ def simplex_standard(A, b, c, feas_tol, max_iter):
         return LP_INFEASIBLE, x, 0.0, infeas
     # drive artificial variables out of the basis where possible, pivoting on
     # the best-conditioned eligible element
-    for i in range(m):
-        if basis[i] >= n:
-            jbest = -1
-            abest = 1e-9
-            for j in range(n):
-                a = abs(T[i, j])
-                if a > abest:
-                    abest = a
-                    jbest = j
-            if jbest >= 0:
-                _pivot(T, basis, i, jbest)
+    for i in np.flatnonzero(basis >= n):
+        j = int(np.argmax(np.abs(T[i, :n])))
+        if abs(T[i, j]) > 1e-9:
+            _pivot(T, basis, i, j)
     # phase 2 over structural columns only
-    for j in range(n + m):
-        T[m, j] = 0.0
-    for j in range(n):
-        T[m, j] = c[j]
-    T[m, -1] = 0.0
-    for i in range(m):
-        if basis[i] < n:
-            cb = c[basis[i]]
-            if cb != 0.0:
-                T[m, :] -= cb * T[i, :]
+    T[m, :] = 0.0
+    T[m, :n] = c
+    for i in np.flatnonzero(basis < n):
+        cb = c[basis[i]]
+        if cb != 0.0:
+            T[m, :] -= cb * T[i, :]
     status = _simplex_iterate(T, basis, n, max_iter)
     if status == LP_ITERATION_LIMIT or status == LP_BREAKDOWN:
         return status, x, 0.0, infeas
-    for i in range(m):
-        if basis[i] < n:
-            x[basis[i]] = T[i, -1]
-    obj = 0.0
-    for j in range(n):
-        obj += c[j] * x[j]
+    basic = basis < n
+    x[basis[basic]] = T[:m][basic, -1]
+    obj = float(c @ x)
     if status == LP_UNBOUNDED:
         return LP_UNBOUNDED, x, obj, infeas
     return LP_OPTIMAL, x, obj, infeas
 
 
-@njit(cache=True)
 def smo_box_equality(K, y, C, lam, alpha, kkt_tol, max_iter):
     """Maximize sum(a) - (1/(4 lam)) a'Qa with Q_ij = y_i y_j K_ij,
     subject to 0 <= a <= C and y.a = 0, by maximal-violating-pair SMO.
 
-    `alpha` is updated in place (must be feasible).  Returns (iterations,
-    final KKT violation).
+    Labels `y` are +-1.  `alpha` is updated in place (must be feasible).
+    Returns (iterations, final KKT violation).
     """
-    n = K.shape[0]
-    u = np.zeros(n)
-    for i in range(n):
-        acc = 0.0
-        for j in range(n):
-            acc += K[i, j] * alpha[j] * y[j]
-        u[i] = acc / (2.0 * lam)
+    # each row summed in index order by a running sum rather than by BLAS, so
+    # the gradient of a warm start, and with it the pair path, does not
+    # depend on the BLAS build
+    u = np.cumsum(K * (alpha * y), axis=1)[:, -1] / (2.0 * lam)
     bound_tol = 1e-14
+    # with s = y * alpha, a point can move up (y.alpha grows) while
+    # s < up_lim and down while s > dn_lim
+    pos = y > 0.0
+    up_lim = np.where(pos, C - bound_tol, -bound_tol)
+    dn_lim = np.where(pos, bound_tol, -(C - bound_tol))
     it = 0
     viol = np.inf
     for it in range(max_iter):
-        hi_t = -np.inf
-        lo_t = np.inf
-        hi_i = -1
-        lo_i = -1
-        for i in range(n):
-            t = y[i] - u[i]
-            movable_up = (y[i] > 0.0 and alpha[i] < C - bound_tol) or (
-                y[i] < 0.0 and alpha[i] > bound_tol
-            )
-            movable_dn = (y[i] > 0.0 and alpha[i] > bound_tol) or (
-                y[i] < 0.0 and alpha[i] < C - bound_tol
-            )
-            if movable_up and t > hi_t:
-                hi_t = t
-                hi_i = i
-            if movable_dn and t < lo_t:
-                lo_t = t
-                lo_i = i
-        if hi_i < 0 or lo_i < 0:
+        s = y * alpha
+        t = y - u
+        hi = np.where(s < up_lim, t, -np.inf)
+        lo = np.where(s > dn_lim, t, np.inf)
+        i = int(hi.argmax())
+        j = int(lo.argmin())
+        if hi[i] == -np.inf or lo[j] == np.inf:
             viol = 0.0
             break
-        viol = hi_t - lo_t
+        viol = hi[i] - lo[j]
         if viol <= kkt_tol:
             break
-        i = hi_i
-        j = lo_i
         denom = K[i, i] + K[j, j] - 2.0 * K[i, j]
-        if denom > 1e-300:
-            d = 2.0 * lam * viol / denom
-        else:
-            d = np.inf
-        if y[i] > 0.0:
-            cap_i = C - alpha[i]
-        else:
-            cap_i = alpha[i]
-        if y[j] > 0.0:
-            cap_j = alpha[j]
-        else:
-            cap_j = C - alpha[j]
-        if cap_i < d:
-            d = cap_i
-        if cap_j < d:
-            d = cap_j
+        d = 2.0 * lam * viol / denom if denom > 1e-300 else np.inf
+        cap_i = C - alpha[i] if pos[i] else alpha[i]
+        cap_j = alpha[j] if pos[j] else C - alpha[j]
+        d = min(d, cap_i, cap_j)
         if d <= 0.0:
             break
         alpha[i] += y[i] * d
         alpha[j] -= y[j] * d
-        scale = d / (2.0 * lam)
-        for t_ in range(n):
-            u[t_] += scale * (K[t_, i] - K[t_, j])
+        u += d / (2.0 * lam) * (K[:, i] - K[:, j])
     return it, viol

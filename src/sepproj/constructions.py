@@ -220,6 +220,8 @@ def gen_random_all_labels(n: int, d: int, k: int, margin: float, seed: int,
     the 2^k sign cells, every point at distance >= margin from every plane.
 
     Returns (LabeledPointSet, {property: Hyperplane}).  Deterministic in seed.
+    Raises DegeneratePositionError when the general-position check over the
+    C(n, d+1) point subsets would exceed its cap.
     """
     if not (d >= k >= 1):
         raise BadParamsError("requires d >= k >= 1")
@@ -255,10 +257,7 @@ def gen_random_all_labels(n: int, d: int, k: int, margin: float, seed: int,
         pts = np.array((first + rest)[:n])
         from .synthesis import general_position_violations
 
-        try:
-            if general_position_violations(pts, d + 1, tols):
-                continue
-        except Exception:
+        if general_position_violations(pts, d + 1, tols):
             continue
         svals = pts @ normals.T - offsets
         labels = np.sign(svals).T.astype(int)

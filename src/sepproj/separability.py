@@ -10,6 +10,7 @@ every call.
 from __future__ import annotations
 
 import itertools
+import logging
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,6 +26,8 @@ from .errors import (
 )
 from .geometry import as_points
 from .lp import OPTIMAL, solve_lp
+
+_log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -169,10 +172,14 @@ def _hard_margin_direction(P, Q, max_iter: int = 60000):
     y = np.concatenate([-np.ones(len(P)), np.ones(len(Q))])
     K = np.ascontiguousarray(X @ X.T)
     alpha = np.zeros(len(X))
-    _, viol = _kernels.smo_box_equality(K, y, 1e14, 0.5, alpha, 1e-11, max_iter)
+    iterations, viol = _kernels.smo_box_equality(K, y, 1e14, 0.5, alpha, 1e-11,
+                                                 max_iter)
     v = X.T @ (alpha * y)
     nv = np.linalg.norm(v)
     if nv <= 0 or not np.isfinite(nv) or viol > 1e-6:
+        _log.debug("hard-margin SMO gave no direction after %d iterations "
+                   "(KKT violation %.3g, |v| %.3g); keeping the LP direction",
+                   iterations, viol, nv)
         return None
     return v / nv
 

@@ -17,6 +17,7 @@ destroy the separability of the hidden property:
 """
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 from itertools import combinations
@@ -316,12 +317,12 @@ def general_position_violations(points: np.ndarray, subset_size: int,
     n = points.shape[0]
     if subset_size > n:
         return []
-    idx = list(combinations(range(n), subset_size))
-    if len(idx) > max_subsets:
+    count = math.comb(n, subset_size)
+    if count > max_subsets:
         raise DegeneratePositionError(
-            f"general-position check over {len(idx)} subsets exceeds the cap"
+            f"general-position check over {count} subsets exceeds the cap"
         )
-    arr = np.array(idx)
+    arr = np.array(list(combinations(range(n), subset_size)))
     diffs = points[arr[:, 1:]] - points[arr[:, :1]]
     sv = np.linalg.svd(diffs, compute_uv=False)
     scale = max(1.0, float(np.abs(points).max()))

@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -12,7 +14,7 @@ from sepproj.constructions import (
     generate_fixture,
     _wedge_contains,
 )
-from sepproj.errors import BadParamsError, EpsilonTooLargeError
+from sepproj.errors import BadParamsError, DegeneratePositionError, EpsilonTooLargeError
 from sepproj.separability import linear_separability, max_slack_separator
 
 
@@ -147,6 +149,13 @@ class TestRandomAllLabels:
             gen_random_all_labels(3, 3, 2, 0.1, 0)  # n < 2^k
         with pytest.raises(BadParamsError):
             gen_random_all_labels(8, 2, 3, 0.1, 0)  # d < k
+
+    def test_subset_cap_raises_at_once(self):
+        # C(30, 6) = 593,775 subsets exceed the general-position check's cap
+        t0 = time.perf_counter()
+        with pytest.raises(DegeneratePositionError):
+            gen_random_all_labels(30, 5, 2, 0.1, 2)
+        assert time.perf_counter() - t0 < 1.0
 
 
 def test_fixture_dispatch():

@@ -1,6 +1,7 @@
-"""Golden values for the two numeric kernels.
+"""Golden values for the two numeric kernels, and agreement with the
+element-by-element reference in ``reference_kernels``.
 
-The expected figures were recorded from the element-by-element loop
+The expected figures were recorded from the element-by-element
 implementation.  Pivot and pair selection must follow the same path, so
 iteration counts, statuses and simplex solutions are pinned exactly.  Inputs
 are small multiples of 1/8, so every Gram entry is exact whatever the BLAS.
@@ -9,6 +10,7 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
+import reference_kernels
 from sepproj import _kernels
 from sepproj.overlap import _fix_equality
 
@@ -156,3 +158,61 @@ def test_simplex_infeasibility_measure():
     A, b, c = _LPS["infeasible"][0]
     _, _, _, infeas = _kernels.simplex_standard(A, b, c, 1e-9, 20000)
     assert infeas == pytest.approx(1.0, abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# agreement with the element-by-element reference on random instances
+
+
+def _random_smo_cases(seed):
+    """(K, y, C, lam, alpha0, tol, max_iter): a hard margin, a soft box from
+    zero and the same soft box from a disturbed warm start."""
+    rng = np.random.default_rng([seed, 7])
+    n, d = 2 * int(rng.integers(8, 16)), int(rng.integers(2, 5))
+    X = rng.normal(size=(n, d))
+    y = np.repeat([-1.0, 1.0], n // 2)
+    rng.shuffle(y)
+    sep = X.copy()
+    sep[:, 0] = np.abs(sep[:, 0]) * y + 0.2 * y
+    X[:, 0] += 0.8 * y
+    C, lam = 1.0 / n, float(rng.uniform(0.01, 0.1))
+    warm = np.zeros(n)
+    _kernels.smo_box_equality(X[:, 1:] @ X[:, 1:].T, y, C, lam, warm, 1e-12, 200000)
+    warm *= rng.uniform(0.5, 1.5, size=n)
+    return [(sep @ sep.T, y, 1e14, 0.5, np.zeros(n), 1e-11, 60000),
+            (X @ X.T, y, C, lam, np.zeros(n), 1e-12, 200000),
+            (X @ X.T, y, C, lam, _fix_equality(warm, y, C), 1e-12, 200000)]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_smo_matches_reference(seed):
+    for K, y, C, lam, alpha0, tol, max_iter in _random_smo_cases(seed):
+        alpha, alpha_ref = alpha0.copy(), alpha0.copy()
+        got = _kernels.smo_box_equality(K, y, C, lam, alpha, tol, max_iter)
+        want = reference_kernels.smo_box_equality(K, y, C, lam, alpha_ref, tol,
+                                                  max_iter)
+        assert got == want
+        np.testing.assert_array_equal(alpha, alpha_ref)
+
+
+def _random_lp(seed):
+    """Standard-form LP whose right-hand side is made by a sparse point, so
+    many basic solutions are degenerate; some draws are infeasible (negative
+    point) or unbounded (negative costs)."""
+    rng = np.random.default_rng([seed, 8])
+    m, n = int(rng.integers(3, 12)), int(rng.integers(6, 24))
+    A = np.round(rng.normal(size=(m, n)), 1)
+    x0 = np.where(rng.uniform(size=n) < 0.3, rng.uniform(-0.2, 1.0, size=n), 0.0)
+    c = rng.uniform(-0.3, 1.0, size=n)
+    return A, A @ x0, c
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_simplex_matches_reference(seed):
+    A, b, c = _random_lp(seed)
+    st, x, obj, infeas = _kernels.simplex_standard(A, b, c, 1e-9, 5000)
+    st_ref, x_ref, obj_ref, infeas_ref = reference_kernels.simplex_standard(
+        A, b, c, 1e-9, 5000)
+    assert (st, infeas) == (st_ref, infeas_ref)
+    np.testing.assert_array_equal(x, x_ref)
+    assert obj == pytest.approx(obj_ref, rel=0, abs=1e-12)

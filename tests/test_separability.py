@@ -1,3 +1,5 @@
+import logging
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from sepproj.errors import (
     InvalidCertificateError,
 )
 from sepproj.separability import (
+    _hard_margin_direction,
     bc_separable_bruteforce,
     common_point,
     deep_common_point,
@@ -45,6 +48,20 @@ class TestLinearSeparability:
             res = linear_separability(P, Q)
             assert res.separable and res.strict
             assert res.margin >= gamma - 1e-6
+
+    def test_hard_margin_fallback_is_logged(self, caplog):
+        P, Q, _ = planted_separable_pair(np.random.default_rng(13), 4, 15, 15, 0.2)
+        with caplog.at_level(logging.DEBUG, logger="sepproj"):
+            assert _hard_margin_direction(P, Q, max_iter=3) is None
+        [record] = caplog.records
+        assert record.levelno == logging.DEBUG
+        assert record.name.startswith("sepproj")
+        assert "iterations" in record.getMessage()
+        assert "KKT violation" in record.getMessage()
+        caplog.clear()
+        with caplog.at_level(logging.DEBUG, logger="sepproj"):
+            assert _hard_margin_direction(P, Q) is not None
+        assert caplog.records == []
 
     def test_touching_sets_not_strict_but_weakly_separable(self):
         P = [[0.0, 0.0], [-1.0, 0.5]]

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
+from sepproj import synthesis
 from sepproj.constructions import gen_missing_label, gen_random_all_labels
 from sepproj.data import LabeledPointSet
 from sepproj.errors import (
+    DegeneratePositionError,
     NotIntersectingError,
     NotSeparableInputError,
     TooFewPointsError,
@@ -138,6 +140,15 @@ class TestPerturbation:
             # no d+1 projected points on a common hyperplane of the image flat
             coords = np.vstack([Pc, Qc])
             assert general_position_violations(coords, ps.d + 1) == []
+
+    def test_general_position_cap_checked_before_enumeration(self, monkeypatch):
+        def enumerate_subsets(*args):
+            raise AssertionError("subsets enumerated before the cap check")
+
+        monkeypatch.setattr(synthesis, "combinations", enumerate_subsets)
+        points = np.random.default_rng(0).normal(size=(30, 5))
+        with pytest.raises(DegeneratePositionError, match="593775 subsets"):
+            general_position_violations(points, 6)
 
     def test_overlapping_interiors_keep_direction(self):
         rng = np.random.default_rng(5)
