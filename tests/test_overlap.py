@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -269,3 +271,120 @@ class TestMaximize:
         for w, _ in res.finals:
             assert abs(w @ normal) <= 1e-10
             assert abs(np.linalg.norm(w) - 1.0) <= 1e-10
+
+
+# ---------------------------------------------------------------------------
+# golden interval climbs: every figure was recorded before the interval score
+# had its own climb engine, and must be reproduced bit for bit
+
+
+def _planted_instance(seed, n, d, k, margin=0.15):
+    """n points at distance >= margin from k random planes through the
+    origin, labeled by side; returns the set and the unit plane normals."""
+    rng = np.random.default_rng(seed)
+    N = rng.normal(size=(k, d))
+    N /= np.linalg.norm(N, axis=1, keepdims=True)
+    pts = []
+    while len(pts) < n:
+        x = rng.normal(size=d)
+        if np.abs(N @ x).min() >= margin:
+            pts.append(x)
+    P = np.array(pts)
+    return LabeledPointSet(P, np.where(P @ N.T > 0, 1, -1).T), N
+
+
+# name: (seed, n, d, k, keep normals, starts, n_directions, refine_iters, keep);
+# the reduced space of the inner score has d - 1 - (keep normals) dimensions
+_INTERVAL_CASES = {
+    "reduced-1": (1, 8, 3, 2, 1, 2, 4096, 60, None),
+    "reduced-2": (2, 12, 4, 2, 1, 1, 128, 12, None),
+    "reduced-3": (6, 16, 5, 2, 1, 1, 64, 8, None),
+    "no-normals": (3, 12, 4, 1, 0, 1, 128, 12, None),
+    "feasibility": (4, 12, 3, 2, 0, 1, 64, 8, (1,)),
+}
+
+# value, best, (len(trace), sha256 of the trace's float64 bytes), finals
+_INTERVAL_GOLDEN = {
+    "reduced-1": (
+        0.7085717698868366,
+        [0.6107030736060522, 0.7397499725648218, 0.28250970598984115],
+        (17, "c8747728a1b98cfb4cdd596881083ecfc5389e2ec59a58f09345c0611ac01248"),
+        [([0.6107030737445337, 0.739749971372715, 0.28250970881200876],
+          0.7085717649776906),
+         ([0.6107030736060522, 0.7397499725648218, 0.28250970598984115],
+          0.7085717698868366)]),
+    "reduced-2": (
+        0.39577726427621973,
+        [-0.3670614955137392, 0.1526946127207646, 0.43191282320591373,
+         0.809568728958555],
+        (16, "911fd9461e5fcdfe7193832a09e1654a94e862caa64278a790c0635e54b4e804"),
+        None),
+    "reduced-3": (
+        0.6391959214551116,
+        [-0.26640075932809254, -0.7146244239853727, 0.621878519037264,
+         -0.13301640507037757, -0.11796741759978867],
+        (15, "daae75fe5afe9b68acfb410d1666f8cddc65037e452237198895aaf7cdf78474"),
+        None),
+    "no-normals": (
+        0.32043512688301357,
+        [-0.7266386518441144, 0.5480503750767296, 0.1309375937772818,
+         0.39305521566344787],
+        (18, "bbe9733fd1ed09e0053830996e58bb1f45ea958127ba1c5d2dc174816b6941cc"),
+        None),
+    "feasibility": (
+        0.49433377765912045,
+        [-0.44779567071050236, 0.3023685389151192, 0.8414584386452294],
+        (12, "ed9044e4a65ddec029831310de9383f41cef63fc2169fb728454e30f2109c246"),
+        None),
+}
+
+# f_value at a seeded unit w with the default spec: value and minimizing v
+_F_VALUE_GOLDEN = {
+    "reduced-1": (0.438590599219965,
+                  [0.1780328425359781, -0.2169633644233244, 0.9598079002991544]),
+    "reduced-2": (0.3088210737031732,
+                  [-0.11521278047587472, 0.4286038964399008, 0.8960483416808881,
+                   0.011049187412815823]),
+    "reduced-3": (0.009674340458329128,
+                  [-0.39517056507786, 0.8598115735387201, -0.1396633240465084,
+                   0.1189036092868743, 0.2663087871621011]),
+    "no-normals": (0.0,
+                   [-0.2627628249833849, 0.9027544596580789,
+                    -0.3065977168859139, -0.148283253857427]),
+}
+
+
+def _interval_case(name):
+    seed, n, d, k, n_normals, _, _, _, _ = _INTERVAL_CASES[name]
+    ps, N = _planted_instance(seed, n, d, k)
+    return ps, (N[1:1 + n_normals] if n_normals else None)
+
+
+class TestIntervalGolden:
+    @pytest.mark.parametrize("name", sorted(_INTERVAL_GOLDEN))
+    def test_climb_is_bit_identical(self, name):
+        seed, _, _, _, _, starts, n_dir, refine, keep = _INTERVAL_CASES[name]
+        ps, normals = _interval_case(name)
+        spec = OverlapSpec(kind="interval", n_directions=n_dir,
+                           refine_iters=refine)
+        feas = separability_feasibility(ps, keep) if keep else None
+        res = maximize_overlap(ps, spec, keep_normals=normals, starts=starts,
+                               seed=seed, feasible=feas)
+        value, best, (trace_len, trace_sha), finals = _INTERVAL_GOLDEN[name]
+        assert res.value == value
+        assert res.best.tolist() == best
+        assert len(res.trace) == trace_len
+        digest = hashlib.sha256(np.asarray(res.trace, dtype=float).tobytes())
+        assert digest.hexdigest() == trace_sha
+        if finals is None:
+            finals = [(best, value)]
+        assert [(w.tolist(), v) for w, v in res.finals] == finals
+
+    @pytest.mark.parametrize("name", sorted(_F_VALUE_GOLDEN))
+    def test_f_value_is_bit_identical(self, name):
+        seed, _, d, _, _, _, _, _, _ = _INTERVAL_CASES[name]
+        ps, normals = _interval_case(name)
+        w = np.random.default_rng([seed, 1]).normal(size=d)
+        w /= np.linalg.norm(w)
+        value, (v, b, _) = f_value(ps, w, OverlapSpec(kind="interval"), normals)
+        assert (value, v.tolist(), b) == (*_F_VALUE_GOLDEN[name], 0.0)
