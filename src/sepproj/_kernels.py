@@ -147,7 +147,6 @@ def smo_box_equality(K, y, C, lam, alpha, kkt_tol, max_iter):
     pos = y > 0.0
     up_lim = np.where(pos, C - bound_tol, -bound_tol)
     dn_lim = np.where(pos, bound_tol, -(C - bound_tol))
-    it = 0
     viol = np.inf
     for it in range(max_iter):
         s = y * alpha
@@ -172,4 +171,6 @@ def smo_box_equality(K, y, C, lam, alpha, kkt_tol, max_iter):
         alpha[i] += y[i] * d
         alpha[j] -= y[j] * d
         u += d / (2.0 * lam) * (K[:, i] - K[:, j])
+    else:
+        it = max_iter  # the budget ran out: every pass made a step
     return it, viol

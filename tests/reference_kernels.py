@@ -178,7 +178,6 @@ def smo_box_equality(K, y, C, lam, alpha, kkt_tol, max_iter):
             acc += K[i, j] * alpha[j] * y[j]
         u[i] = acc / (2.0 * lam)
     bound_tol = 1e-14
-    it = 0
     viol = np.inf
     for it in range(max_iter):
         hi_t = -np.inf
@@ -231,4 +230,6 @@ def smo_box_equality(K, y, C, lam, alpha, kkt_tol, max_iter):
         scale = d / (2.0 * lam)
         for t_ in range(n):
             u[t_] += scale * (K[t_, i] - K[t_, j])
+    else:
+        it = max_iter  # the budget ran out: every pass made a step
     return it, viol

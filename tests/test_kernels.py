@@ -34,12 +34,16 @@ def _soft_points():
     return np.vstack([P, Q])
 
 
-def test_smo_hard_margin_zero_start():
-    # the call _hard_margin_direction makes: box at 1e14, lam = 0.5
+def _hard_margin_points():
     P, Q = _dyadic_pair(11)
     P[:, 0] = -np.abs(P[:, 0]) - 0.25
     Q[:, 0] = np.abs(Q[:, 0]) + 0.25
-    X = np.vstack([P, Q])
+    return np.vstack([P, Q])
+
+
+def test_smo_hard_margin_zero_start():
+    # the call _hard_margin_direction makes: box at 1e14, lam = 0.5
+    X = _hard_margin_points()
     alpha = np.zeros(24)
     it, viol = _kernels.smo_box_equality(X @ X.T, _labels(), 1e14, 0.5, alpha,
                                          1e-11, 60000)
@@ -48,6 +52,19 @@ def test_smo_hard_margin_zero_start():
     expected[[1, 13, 23]] = [3.45204325772011, 1.7639965546897833,
                              1.688046703030326]
     np.testing.assert_allclose(alpha, expected, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("kernel", [_kernels.smo_box_equality,
+                                    reference_kernels.smo_box_equality])
+def test_smo_exhausted_budget_counts_every_step(kernel):
+    # the solve above needs 196 steps; cut after 3, it has made 3
+    X = _hard_margin_points()
+    alpha = np.zeros(24)
+    it, viol = kernel(X @ X.T, _labels(), 1e14, 0.5, alpha, 1e-11, 3)
+    assert it == 3
+    assert viol > 1e-11
+    assert kernel(X @ X.T, _labels(), 1e14, 0.5, np.zeros(24), 1e-11, 0) \
+        == (0, np.inf)
 
 
 _SOFT_ALPHA = [

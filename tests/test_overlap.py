@@ -190,16 +190,17 @@ class TestFValue:
         assert f1 == pytest.approx(f2, abs=1e-10)
 
     def test_gradient_matches_finite_differences(self):
-        from sepproj.overlap import _svm_outer_gradient, _tangent_basis
+        from sepproj.overlap import _SvmClimbEngine, _tangent_basis
         ps = gen_cube_two_maxima(0.2)
         spec = OverlapSpec(kind="svm", lam=10.0)
+        engine = _SvmClimbEngine(ps, spec, None, 0)
         rng = np.random.default_rng(8)
         for _ in range(10):
             w = rng.normal(size=3)
             w /= np.linalg.norm(w)
-            val, inner = f_value(ps, w, spec)
-            grad = _svm_outer_gradient(ps, w, inner, 10.0, 0)
             E = _tangent_basis(w, None)
+            _, alpha = engine.value(w)
+            grad = engine.gradient(w, alpha, E)
             for e in E:
                 h = 1e-6
                 wp = (w + h * e) / np.linalg.norm(w + h * e)
@@ -388,3 +389,16 @@ class TestIntervalGolden:
         w /= np.linalg.norm(w)
         value, (v, b, _) = f_value(ps, w, OverlapSpec(kind="interval"), normals)
         assert (value, v.tolist(), b) == (*_F_VALUE_GOLDEN[name], 0.0)
+
+    @pytest.mark.parametrize("name", sorted(_F_VALUE_GOLDEN))
+    def test_engine_matches_f_value(self, name):
+        from sepproj.overlap import _IntervalClimbEngine
+        seed, _, d, _, _, _, _, _, _ = _INTERVAL_CASES[name]
+        ps, normals = _interval_case(name)
+        spec = OverlapSpec(kind="interval", n_directions=256)
+        engine = _IntervalClimbEngine(ps, spec, normals, 0)
+        rng = np.random.default_rng([seed, 2])
+        for _ in range(10):
+            w = rng.normal(size=d)
+            w /= np.linalg.norm(w)
+            assert engine.value(w)[0] == f_value(ps, w, spec, normals)[0]
