@@ -402,3 +402,69 @@ class TestIntervalGolden:
             w = rng.normal(size=d)
             w /= np.linalg.norm(w)
             assert engine.value(w)[0] == f_value(ps, w, spec, normals)[0]
+
+
+# ---------------------------------------------------------------------------
+# golden svm climbs: every figure was recorded before the climb had a single
+# accept rule, and must be reproduced bit for bit
+
+# name: (spec lam, starts, seed); "cube" cases run on gen_cube_two_maxima(0.2)
+_SVM_CASES = {
+    "cube-free": (10.0, 3, 1),
+    "cube-oracle": (10.0, 2, 3),
+    "planted-normals": (0.1, 2, 13),
+}
+
+# value, best, (len(trace), sha256 of the trace's float64 bytes), finals
+_SVM_GOLDEN = {
+    "cube-free": (
+        0.8888888888899982,
+        [0.003913676832712832, -0.12325608555351629, -0.9923671802854392],
+        (14, "fbb4ffde679df649026fff9b5ce5c46f88e105498b1793a6daf5e0f8cc3db82d"),
+        [([3.0080806142424993e-05, 0.1528368340490852, 0.9882514362514214],
+          0.8888888888892537),
+         ([0.023285056774700615, 0.15051470759784147, 0.9883335109808506],
+          0.8888888888889789),
+         ([0.003913676832712832, -0.12325608555351629, -0.9923671802854392],
+          0.8888888888899982)]),
+    "cube-oracle": (
+        0.8830532152922619,
+        [0.06546615011799996, 0.7019435587932942, 0.7092174726114218],
+        (11, "776f0e18ffd996ed32da0bd27daef0ff11809049100185b99403ff94dfd34395"),
+        [([-0.6974239032927391, 0.16492413144538076, -0.6974237807695599],
+          0.8826808106752582),
+         ([0.06546615011799996, 0.7019435587932942, 0.7092174726114218],
+          0.8830532152922619)]),
+    "planted-normals": (
+        0.7500000000257893,
+        [0.153680521114894, -0.8486226526657281, 0.05949215804602268,
+         0.5026754160921983],
+        (13, "e54436d645519d1e8ccff07396c9d8eb0a34d780a6fb9c735b4b612acd3459fc"),
+        [([-0.2616485787467064, 0.8335112201153706, 0.021302009340074722,
+           -0.48615356789772746], 0.75000000000011),
+         ([0.153680521114894, -0.8486226526657281, 0.05949215804602268,
+           0.5026754160921983], 0.7500000000257893)]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_SVM_GOLDEN))
+def test_svm_climb_is_bit_identical(name):
+    lam, starts, seed = _SVM_CASES[name]
+    normals = feas = None
+    if name.startswith("cube"):
+        ps = gen_cube_two_maxima(0.2)
+        if name == "cube-oracle":
+            feas = separability_feasibility(ps, (1,))
+    else:
+        ps, N = _planted_instance(seed, 16, 4, 2)
+        normals = N[1:]
+    res = maximize_overlap(ps, OverlapSpec(kind="svm", lam=lam),
+                           keep_normals=normals, starts=starts, seed=seed,
+                           feasible=feas)
+    value, best, (trace_len, trace_sha), finals = _SVM_GOLDEN[name]
+    assert res.value == value
+    assert res.best.tolist() == best
+    assert len(res.trace) == trace_len
+    digest = hashlib.sha256(np.asarray(res.trace, dtype=float).tobytes())
+    assert digest.hexdigest() == trace_sha
+    assert [(w.tolist(), v) for w, v in res.finals] == finals

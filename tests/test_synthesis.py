@@ -141,6 +141,28 @@ class TestPerturbation:
             coords = np.vstack([Pc, Qc])
             assert general_position_violations(coords, ps.d + 1) == []
 
+    # w_new and info as recorded before the flat coordinates had one helper;
+    # both must be reproduced bit for bit
+    _GOLDEN = {
+        0: ([-0.7123236092087666, 0.5609003020240243, 0.4218837837048906],
+            {"selected_p": [0, 1], "selected_q": [0, 1], "anchor": (1, 0),
+             "delta": 3.814697265625e-06, "distance": 8.345239868740897e-07,
+             "attempts": 19}),
+        1: ([-0.3913359652984921, 0.9181858095696346, 0.061570945817422916],
+            {"selected_p": [0], "selected_q": [0, 1, 2], "anchor": (1, 2),
+             "delta": 9.5367431640625e-07, "distance": 5.38741873066645e-07,
+             "attempts": 21}),
+    }
+
+    @pytest.mark.parametrize("seed", sorted(_GOLDEN))
+    def test_perturbation_is_bit_identical(self, seed):
+        ps, out = self._construct(seed)
+        w2, info = perturb_general_position(ps.side(0, -1), ps.side(0, +1),
+                                            out.basis.vectors[0])
+        w_expect, info_expect = self._GOLDEN[seed]
+        assert w2.tolist() == w_expect
+        assert info == info_expect
+
     def test_general_position_cap_checked_before_enumeration(self, monkeypatch):
         def enumerate_subsets(*args):
             raise AssertionError("subsets enumerated before the cap check")
