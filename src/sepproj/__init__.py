@@ -7,7 +7,6 @@ from .geometry import (
     AffineMap,
     Flat,
     OrthoBasis,
-    apply_affine,
     barycentric_coords,
     intersect_flats,
     orthonormalize,
@@ -40,7 +39,6 @@ __all__ = [
     "OrthoBasis",
     "SeparationResult",
     "Tolerances",
-    "apply_affine",
     "barycentric_coords",
     "bc_separable_bruteforce",
     "common_point",

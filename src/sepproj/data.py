@@ -71,10 +71,6 @@ class LabeledPointSet:
     def side_indices(self, prop: int, sign: int) -> np.ndarray:
         return np.nonzero(self.labels[prop] == sign)[0]
 
-    def split(self, prop: int) -> tuple[np.ndarray, np.ndarray]:
-        """(negative side, positive side) of property ``prop``."""
-        return self.side(prop, -1), self.side(prop, +1)
-
     def label_tuples(self) -> set[tuple[int, ...]]:
         return {tuple(int(v) for v in self.labels[:, j]) for j in range(self.n)}
 
@@ -87,7 +83,3 @@ class LabeledPointSet:
         if new_points.shape != self.points.shape:
             raise DimensionMismatchError("replacement points must match the original shape")
         return LabeledPointSet(new_points, self.labels.copy())
-
-    def subset(self, idx) -> "LabeledPointSet":
-        idx = np.asarray(idx, dtype=int)
-        return LabeledPointSet(self.points[idx], self.labels[:, idx])

@@ -73,10 +73,6 @@ class BadParamsError(SepProjError):
     """Generator parameters outside their documented range."""
 
 
-class DatasetParseError(SepProjError):
-    """Dataset file does not parse against the schema."""
-
-
 class InvariantViolationError(SepProjError):
     """Parsed data violates a point-set invariant."""
 

@@ -49,11 +49,6 @@ class OrthoBasis:
         G = self.vectors @ self.vectors.T
         return float(np.abs(G - np.eye(self.count)).max())
 
-    def check(self, tol: float = DEFAULT_TOLS.orth) -> None:
-        r = self.gram_residual()
-        if r > tol:
-            raise AllDegenerateError(f"basis fails orthonormality by {r:.3e}")
-
     @staticmethod
     def empty(dim: int) -> "OrthoBasis":
         return OrthoBasis(np.zeros((0, dim)))
@@ -78,14 +73,6 @@ class Flat:
     @property
     def ambient_dim(self) -> int:
         return self.base.shape[0]
-
-    def contains(self, x, tol: float = DEFAULT_TOLS.geom) -> bool:
-        x = np.asarray(x, dtype=float)
-        r = x - self.base
-        D = self.directions.vectors
-        if D.shape[0]:
-            r = r - D.T @ (D @ r)
-        return bool(np.linalg.norm(r) <= tol * max(1.0, np.linalg.norm(x)))
 
 
 @dataclass(frozen=True)
@@ -167,15 +154,10 @@ def project_points(P, W: OrthoBasis) -> np.ndarray:
     return P - (P @ V.T) @ V
 
 
-def project_vector(x, W: OrthoBasis) -> np.ndarray:
-    return project_points(np.asarray(x, dtype=float)[None, :], W)[0]
-
-
 def flat_coordinates(P, W: OrthoBasis, tols: Tolerances = DEFAULT_TOLS) -> np.ndarray:
-    """Coordinates of points (already projected along W) inside the image
-    flat, i.e. against an orthonormal basis of the orthogonal complement."""
-    Z = complement_basis(W, tols)
-    return as_points(P) @ Z.vectors.T
+    """Coordinates of the points after projecting along W, inside the image
+    flat: against an orthonormal basis of the orthogonal complement of W."""
+    return project_points(P, W) @ complement_basis(W, tols).vectors.T
 
 
 def intersect_flats(F1: Flat, F2: Flat, tols: Tolerances = DEFAULT_TOLS):
@@ -243,10 +225,6 @@ def barycentric_coords(x, S, tols: Tolerances = DEFAULT_TOLS) -> np.ndarray:
             f"point lies off the simplex flat (residual {resid:.3e})"
         )
     return c
-
-
-def apply_affine(A: AffineMap, P) -> np.ndarray:
-    return A(P)
 
 
 def affine_rank(P, tols: Tolerances = DEFAULT_TOLS) -> int:

@@ -32,9 +32,11 @@ class LPResult:
 
 
 def solve_lp(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None, bounds=None,
-             feas_tol: float = 1e-9, max_iter: int = 0) -> LPResult:
+             feas_tol: float = 1e-9) -> LPResult:
     """Solve a dense LP.  ``bounds`` is a list of (lo, hi) per variable with
-    ``None`` meaning unbounded; default is (0, None) for every variable."""
+    ``None`` meaning unbounded; default is (0, None) for every variable.  The
+    simplex gets 200 * (rows + columns) + 2000 iterations of the standard
+    form."""
     c = np.asarray(c, dtype=float)
     nvar = c.shape[0]
     if bounds is None:
@@ -108,8 +110,7 @@ def solve_lp(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None, bounds=None,
     b[n_ub:] = b_eq_x
 
     c_full = np.concatenate([c_x, np.zeros(n_ub)])
-    if max_iter <= 0:
-        max_iter = 200 * (A.shape[0] + A.shape[1]) + 2000
+    max_iter = 200 * (A.shape[0] + A.shape[1]) + 2000
     # heavily degenerate instances (coincident points, exact symmetry) can
     # stall or numerically break the pivoting; graded deterministic jitter on
     # the right-hand side, then on the matrix, removes the degeneracy while

@@ -32,7 +32,6 @@ from .geometry import (
     complement_basis,
     flat_coordinates,
     orthonormalize,
-    project_points,
 )
 from .separability import max_slack_separator
 
@@ -420,8 +419,7 @@ def separability_feasibility(ps: LabeledPointSet, keep: tuple[int, ...],
         return -_interval_depth(flat_neg, flat_pos)
 
     def slack_fn(w: np.ndarray) -> float:
-        basis = OrthoBasis(w[None, :])
-        flat = flat_coordinates(project_points(ps.points, basis), basis)
+        flat = flat_coordinates(ps.points, OrthoBasis(w[None, :]))
         s = np.inf
         for i in keep:
             si = signed_separation(flat[ps.labels[i] == -1],
@@ -441,119 +439,92 @@ def _tangent_basis(w: np.ndarray, keep_normals) -> np.ndarray:
 
 
 PENALTY_WEIGHT = 1.0
+STEP0 = 0.25              # first and largest climb step, along the tangent
+STEP_MIN = 1e-8           # a climb stops once its step falls below this
+MAX_ITER = 2000           # climb iterations per start
+CLUSTER_ANGLE = 0.2       # radians; finals this close (w ~ -w) share a cluster
+MAX_START_TRIES = 200000  # sampled start directions before giving up
 
 
-def _climb(ps, spec, w0, keep_normals, feasible, hidden,
-           step0=0.25, step_min=1e-8, max_iter=2000):
-    """Ascent with retraction to the unit sphere.
+def _compass(E: np.ndarray) -> list[np.ndarray]:
+    """Probe directions in the tangent basis E: eight points of the circle
+    spanned by its first two vectors, then +-each further vector."""
+    if E.shape[0] < 2:
+        return [E[0], -E[0]]
+    dirs = [np.cos(np.pi * a / 4.0) * E[0] + np.sin(np.pi * a / 4.0) * E[1]
+            for a in range(8)]
+    for extra in E[2:]:
+        dirs.extend([extra, -extra])
+    return dirs
+
+
+def _climb(ps, spec, w0, keep_normals, oracle: SlackOracle | None, hidden):
+    """Ascent with retraction to the unit sphere, from step ``STEP0`` until
+    ``MAX_ITER`` iterations or a step below ``STEP_MIN``.
 
     The gradient step is tried first (greedy); when rejected, an eight-point
-    tangent compass is probed.  A feasibility SlackOracle turns into an exact
-    penalty (value + weight * min(0, slack)), so the climb crawls cleanly
-    along curved constraint boundaries instead of stalling against them.
-    Accepted steps never decrease the (penalized) value."""
+    tangent compass is probed in order of decreasing value.  The oracle's
+    slack turns into an exact penalty (value + weight * min(0, slack)), so
+    the climb crawls cleanly along curved constraint boundaries instead of
+    stalling against them.  Accepted steps never decrease the (penalized)
+    value.  With an oracle the result is the best feasible point visited,
+    if any."""
     engine_cls = _SvmClimbEngine if spec.kind == "svm" else _IntervalClimbEngine
     engine = engine_cls(ps, spec, keep_normals, hidden)
-    oracle = feasible if isinstance(feasible, SlackOracle) else None
 
     def penalized(wv, fv):
         if oracle is None:
-            return fv, None
+            return fv, 0.0
         s = oracle.slack(wv)
         return fv + PENALTY_WEIGHT * min(0.0, s), s
-
-    def ok(wv, slack_val):
-        if feasible is None:
-            return True
-        if oracle is not None:
-            return slack_val >= 0.0
-        return feasible(wv)
 
     w = np.asarray(w0, dtype=float)
     w = w / np.linalg.norm(w)
     fval, warm = engine.value(w, None)
     val, slack = penalized(w, fval)
-    best_feasible = (w, fval) if ok(w, slack) else None
+    best_feasible = (w, fval) if slack >= 0.0 else None
     trace = [val]
-    step = step0
-    it = 0
-    while it < max_iter and step > step_min:
-        it += 1
+    step = STEP0
+
+    def probe(dvec):
+        cand = w + step * dvec
+        cand /= np.linalg.norm(cand)
+        return (*engine.value(cand, warm), cand)
+
+    def try_step(cf, cwarm, cand):
+        """None when cand cannot win (the penalty only lowers its value),
+        else whether it was accepted."""
+        nonlocal w, val, fval, warm, best_feasible
+        if cf <= val + 1e-15:
+            return None
+        cv, cs = penalized(cand, cf)
+        if cv > val + 1e-15:
+            w, val, fval, warm = cand, cv, cf, cwarm
+            if cs >= 0.0 and (best_feasible is None or fval > best_feasible[1]):
+                best_feasible = (w, fval)
+            trace.append(val)
+            return True
+        return False
+
+    for _ in range(MAX_ITER):
+        if step <= STEP_MIN:
+            break
         E = _tangent_basis(w, keep_normals)
         if E.shape[0] == 0:
             break
-        grad = engine.gradient(w, warm, E)
-        gt = E.T @ (E @ grad)
+        gt = E.T @ (E @ engine.gradient(w, warm, E))
         gn = np.linalg.norm(gt)
-        candidates = []
-        if gn > 0:
-            candidates.append(gt / gn)
-        moved = False
-        for dvec in candidates:
-            cand = w + step * dvec
-            cand /= np.linalg.norm(cand)
-            cf, cwarm = engine.value(cand, warm)
-            if oracle is None and feasible is not None and cf > val + 1e-15 \
-                    and not feasible(cand):
-                continue
-            if oracle is None:
-                cv, cs = cf, None
-            else:
-                if cf + 0.0 <= val + 1e-15:  # penalty can only lower it
-                    continue
-                cv, cs = penalized(cand, cf)
-            if cv > val + 1e-15:
-                w, val, fval, slack, warm = cand, cv, cf, cs, cwarm
-                if ok(w, slack) and (best_feasible is None or fval > best_feasible[1]):
-                    best_feasible = (w, fval)
-                trace.append(val)
-                step = min(step * 1.7, step0)
-                moved = True
-                break
+        moved = gn > 0 and bool(try_step(*probe(gt / gn)))
         if not moved:
-            dirs = []
-            if E.shape[0] >= 2:
-                e1, e2 = E[0], E[1]
-                for a in range(8):
-                    ang = np.pi * a / 4.0
-                    dirs.append(np.cos(ang) * e1 + np.sin(ang) * e2)
-                for extra in E[2:]:
-                    dirs.extend([extra, -extra])
-            else:
-                dirs.extend([E[0], -E[0]])
-            scored = []
-            for dvec in dirs:
-                cand = w + step * dvec
-                cand /= np.linalg.norm(cand)
-                cf, cwarm = engine.value(cand, warm)
-                scored.append((cf, cand, cwarm))
-            scored.sort(key=lambda t: -t[0])
-            for cf, cand, cwarm in scored:
-                if oracle is not None and cf <= val + 1e-15:
-                    break  # penalty only subtracts; no later entry can win
-                if oracle is not None:
-                    cv, cs = penalized(cand, cf)
-                    if cv > val + 1e-15:
-                        w, val, fval, slack, warm = cand, cv, cf, cs, cwarm
-                        if ok(w, slack) and (best_feasible is None
-                                             or fval > best_feasible[1]):
-                            best_feasible = (w, fval)
-                        trace.append(val)
-                        step = min(step * 1.7, step0)
-                        moved = True
-                        break
-                else:
-                    if cf > val + 1e-15 and (feasible is None or feasible(cand)):
-                        w, val, fval, warm = cand, cf, cf, cwarm
-                        if best_feasible is None or fval > best_feasible[1]:
-                            best_feasible = (w, fval)
-                        trace.append(val)
-                        step = min(step * 1.7, step0)
-                        moved = True
-                        break
-        if not moved:
-            step *= 0.5
-    if feasible is not None and best_feasible is not None:
+            scored = sorted((probe(dvec) for dvec in _compass(E)),
+                            key=lambda t: -t[0])
+            for cand in scored:
+                outcome = try_step(*cand)
+                if outcome is not False:  # accepted, or no later entry can win
+                    moved = bool(outcome)
+                    break
+        step = min(step * 1.7, STEP0) if moved else step * 0.5
+    if best_feasible is not None:
         w, fval = best_feasible
     return w, fval, trace
 
@@ -565,34 +536,35 @@ def _angular_distance(w1, w2) -> float:
 
 def maximize_overlap(ps: LabeledPointSet, spec: OverlapSpec,
                      keep_normals=None, starts: int = 20, seed: int = 0,
-                     feasible: Callable | None = None, hidden: int = 0,
-                     cluster_angle: float = 0.2,
-                     max_start_tries: int = 200000) -> OptResult:
+                     feasible: SlackOracle | None = None,
+                     hidden: int = 0) -> OptResult:
     """Multi-start hill climbing of the projected overlap over unit vectors.
 
     Starts are seeded deterministically (per-start streams derived from the
     master seed, order-independent), filtered by the feasibility oracle when
-    given, and climbed with monotone ascent.  Final vectors are clustered by
-    angular distance with w and -w identified.
+    given (it must be a ``SlackOracle``, whose slack the climb penalizes),
+    and climbed with monotone ascent.  At most ``MAX_START_TRIES`` directions
+    are sampled.  Final vectors are clustered by angular distance, within
+    ``CLUSTER_ANGLE``, with w and -w identified.
     """
     if starts < 1:
         raise BadParamsError("needs at least one start")
-    d = ps.d
+    if feasible is not None and not isinstance(feasible, SlackOracle):
+        raise BadParamsError("feasible must be a SlackOracle or None")
+    has_normals = keep_normals is not None and len(keep_normals)
+    if has_normals:
+        K = orthonormalize(np.asarray(keep_normals, dtype=float)).vectors
     start_vecs = []
-    tries = 0
-    idx = 0
-    while len(start_vecs) < starts and tries < max_start_tries:
-        rng = np.random.default_rng([seed, idx])
-        idx += 1
-        tries += 1
-        w = rng.normal(size=d)
+    for idx in range(MAX_START_TRIES):
+        if len(start_vecs) == starts:
+            break
+        w = np.random.default_rng([seed, idx]).normal(size=ps.d)
         nw = np.linalg.norm(w)
         if nw == 0:
             continue
         w /= nw
-        if keep_normals is not None and len(keep_normals):
-            K = orthonormalize(np.asarray(keep_normals, dtype=float))
-            w = w - K.vectors.T @ (K.vectors @ w)
+        if has_normals:
+            w = w - K.T @ (K @ w)
             nw = np.linalg.norm(w)
             if nw < 1e-12:
                 continue
@@ -616,7 +588,7 @@ def maximize_overlap(ps: LabeledPointSet, spec: OverlapSpec,
     clusters: list[MaximaCluster] = []
     for w, val in sorted(finals, key=lambda t: -t[1]):
         for cl in clusters:
-            if _angular_distance(w, cl.w) <= cluster_angle:
+            if _angular_distance(w, cl.w) <= CLUSTER_ANGLE:
                 cl.members.append((w, val))
                 break
         else:

@@ -9,7 +9,6 @@ every call.
 """
 from __future__ import annotations
 
-import itertools
 import logging
 from dataclasses import dataclass
 
@@ -25,7 +24,7 @@ from .errors import (
     InvalidWitnessError,
 )
 from .geometry import as_points
-from .lp import OPTIMAL, solve_lp
+from .lp import solve_lp
 
 _log = logging.getLogger(__name__)
 

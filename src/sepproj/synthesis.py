@@ -18,7 +18,6 @@ destroy the separability of the hidden property:
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Callable
@@ -29,10 +28,13 @@ from .config import DEFAULT_TOLS, Tolerances
 from .data import LabeledPointSet
 from .errors import (
     ActuallySeparableError,
+    AllDegenerateError,
     DegeneratePositionError,
+    InvalidCertificateError,
     NotAllLabelsError,
     NotIntersectingError,
     NotSeparableInputError,
+    SepProjError,
     TooFewPointsError,
     WitnessSearchExceededError,
 )
@@ -42,6 +44,8 @@ from .geometry import (
     affine_rank,
     barycentric_coords,
     complement_basis,
+    flat_coordinates,
+    intersect_flats,
     orthonormalize,
     project_points,
     subspace_intersection,
@@ -54,14 +58,11 @@ from .separability import (
     common_point,
     kirchberger_reduce,
     linear_separability,
-    max_slack_separator,
     one_infty_separable,
     one_infty_witness,
     point_in_hull,
     weak_separator,
 )
-
-GP_JITTER = 1e-7  # magnitude of the deterministic jitter used to restore rank
 
 
 @dataclass
@@ -243,7 +244,7 @@ def construct_eliminating_projection(prob: SynthesisProblem,
     try:
         dirs = orthonormalize(others[1:] - others[0], tols) if len(others) > 1 \
             else OrthoBasis.empty(ps.d)
-    except Exception as exc:
+    except AllDegenerateError as exc:
         raise DegeneratePositionError(f"witness flat is degenerate: {exc}") from exc
     f1 = Flat(others[0], dirs)
     f2 = Flat(p_star, complement_basis(basis_a, tols))
@@ -265,9 +266,6 @@ def construct_eliminating_projection(prob: SynthesisProblem,
 
 
 def _intersection_point(f1: Flat, f2: Flat, tols: Tolerances) -> np.ndarray:
-    r = None
-    from .geometry import intersect_flats
-
     out = intersect_flats(f1, f2, tols)
     if out is None:
         raise DegeneratePositionError("witness flats do not intersect")
@@ -290,7 +288,7 @@ def _finish_single(prob, ps, keep, planes, basis_a, w, cert, tols,
             check_common_point_certificate(pn, pp, x, lam_full, mu_full,
                                            tol=max(tols.geom, 1e-7))
             hidden_result = SeparationResult(False, point=x, lam=lam_full, mu=mu_full)
-        except Exception:
+        except InvalidCertificateError:
             hidden_result = None
     if hidden_result is None:
         hidden_result = linear_separability(pn, pp, tols=tols)
@@ -390,15 +388,9 @@ def perturb_general_position(P, Q, w, eps_perturb: float = 1e-6,
     if n + m < d + 1:
         raise TooFewPointsError("the two sets together must span the space")
 
-    Z = complement_basis(OrthoBasis(w[None, :]), tols)
-
-    def flat_coords(X, direction):
-        Zb = complement_basis(OrthoBasis(direction[None, :]), tols)
-        Xp = project_points(X, OrthoBasis(direction[None, :]))
-        return Xp @ Zb.vectors.T, Zb
-
-    Pf, _ = flat_coords(P, w)
-    Qf, _ = flat_coords(Q, w)
+    basis_w = OrthoBasis(w[None, :])
+    Pf = flat_coordinates(P, basis_w, tols)
+    Qf = flat_coordinates(Q, basis_w, tols)
     try:
         x0, lam0, mu0 = common_point(Pf, Qf, tols)
     except ActuallySeparableError as exc:
@@ -431,8 +423,9 @@ def perturb_general_position(P, Q, w, eps_perturb: float = 1e-6,
         delta = 1.0
         for attempt in range(retries):
             try:
-                w_new = _perturbed_direction(P, Q, w, sel_p, sel_q, lam, mu,
-                                             (side_a, idx_a), delta, tols)
+                w_new = _perturbed_direction(P, Q, Pf, Qf, w, sel_p, sel_q,
+                                             lam, mu, (side_a, idx_a), delta,
+                                             tols)
             except DegeneratePositionError as exc:
                 last_err = str(exc)
                 delta *= 0.5
@@ -441,10 +434,8 @@ def perturb_general_position(P, Q, w, eps_perturb: float = 1e-6,
             if dist > eps_perturb:
                 delta *= 0.5
                 continue
-            both = np.vstack([P, Q])
-            proj = project_points(both, OrthoBasis(w_new[None, :]))
-            Zb = complement_basis(OrthoBasis(w_new[None, :]), tols)
-            flat = proj @ Zb.vectors.T
+            flat = flat_coordinates(np.vstack([P, Q]),
+                                    OrthoBasis(w_new[None, :]), tols)
             if weak_separator(flat[:n], flat[n:], tols) is not None:
                 last_err = "projection still weakly separable"
                 delta *= 0.5
@@ -458,13 +449,11 @@ def perturb_general_position(P, Q, w, eps_perturb: float = 1e-6,
     raise DegeneratePositionError(f"perturbation failed: {last_err}")
 
 
-def _perturbed_direction(P, Q, w, sel_p, sel_q, lam, mu, anchor, delta, tols):
+def _perturbed_direction(P, Q, Pf, Qf, w, sel_p, sel_q, lam, mu, anchor,
+                         delta, tols):
     """Apply the coefficient perturbation at scale ``delta`` and re-aim the
-    projection at the point realizing the perturbed combination."""
-    basis_w = OrthoBasis(w[None, :])
-    Zb = complement_basis(basis_w, tols)
-    Pf = project_points(P, basis_w) @ Zb.vectors.T
-    Qf = project_points(Q, basis_w) @ Zb.vectors.T
+    projection at the point realizing the perturbed combination.  Pf and Qf
+    are the flat coordinates of P and Q after projecting along w."""
     side_a, idx_a = anchor
     coeff_a = lam[idx_a] if side_a == 0 else mu[idx_a]
     anchor_flat = Pf[idx_a] if side_a == 0 else Qf[idx_a]
@@ -634,7 +623,7 @@ def multi_projection_driver(prob: SynthesisProblem,
             cand = subspace_intersection(span_b, a_perp, tols)
             if cand.count <= min(witness_size - k, d - k + 1):
                 basis = cand
-        except Exception:
+        except SepProjError:
             basis = None
     else:
         basis = OrthoBasis.empty(d)

@@ -7,7 +7,6 @@ from sepproj.geometry import (
     Flat,
     OrthoBasis,
     affine_rank,
-    apply_affine,
     barycentric_coords,
     complement_basis,
     intersect_flats,
@@ -176,13 +175,13 @@ class TestAffineMap:
     def test_identity(self):
         A = AffineMap(np.eye(3), np.zeros(3))
         P = np.arange(12.0).reshape(4, 3)
-        assert np.allclose(apply_affine(A, P), P)
+        assert np.allclose(A(P), P)
 
     def test_translation(self):
         t = np.array([1.0, -2.0])
         A = AffineMap(np.eye(2), t)
         P = np.zeros((3, 2))
-        assert np.allclose(apply_affine(A, P), np.tile(t, (3, 1)))
+        assert np.allclose(A(P), np.tile(t, (3, 1)))
 
     def test_composition(self):
         rng = np.random.default_rng(9)
@@ -190,8 +189,8 @@ class TestAffineMap:
             A = AffineMap(rng.normal(size=(3, 4)), rng.normal(size=3))
             B = AffineMap(rng.normal(size=(2, 3)), rng.normal(size=2))
             P = rng.normal(size=(6, 4))
-            lhs = apply_affine(B, apply_affine(A, P))
-            rhs = apply_affine(B.compose(A), P)
+            lhs = B(A(P))
+            rhs = B.compose(A)(P)
             assert np.abs(lhs - rhs).max() <= 1e-10
 
 

@@ -258,6 +258,12 @@ class TestMaximize:
         for w, _ in res.finals:
             assert feas(w)
 
+    def test_boolean_feasibility_rejected(self):
+        ps = gen_cube_two_maxima(0.2)
+        with pytest.raises(BadParamsError):
+            maximize_overlap(ps, OverlapSpec(kind="svm", lam=10.0), starts=1,
+                             feasible=lambda w: True)
+
     def test_constraint_residuals(self):
         rng = np.random.default_rng(10)
         pts = rng.normal(size=(10, 4))

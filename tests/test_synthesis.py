@@ -127,13 +127,11 @@ class TestPerturbation:
             w2, info = perturb_general_position(P, Q, w)
             assert min(np.linalg.norm(w2 - w), np.linalg.norm(w2 + w)) <= 1e-6
             basis2 = OrthoBasis(w2[None, :])
-            Pp = project_points(P, basis2)
-            Qp = project_points(Q, basis2)
             # separability judged inside the image flat (weak separability in
             # the ambient space is vacuous for data living in a hyperplane)
             from sepproj.geometry import flat_coordinates
-            Pc = flat_coordinates(Pp, basis2)
-            Qc = flat_coordinates(Qp, basis2)
+            Pc = flat_coordinates(P, basis2)
+            Qc = flat_coordinates(Q, basis2)
             assert weak_separator(Pc, Qc) is None
             res = linear_separability(Pc, Qc, strict=False)
             assert not res.separable
@@ -247,6 +245,29 @@ class TestDriver:
                              ).bc_separable_bruteforce(
             out.projected.side(0, -1), out.projected.side(0, +1), 1, 1)
         assert not flag
+
+
+@pytest.mark.parametrize("name, call, run", [
+    ("orthonormalize", 2, construct_eliminating_projection),
+    ("check_common_point_certificate", 1, construct_eliminating_projection),
+    ("subspace_intersection", 1,
+     lambda prob: multi_projection_driver(prob, one_infty_predicate())),
+], ids=["witness-flat", "hidden-certificate", "projection-basis"])
+def test_non_library_errors_propagate(monkeypatch, name, call, run):
+    # the library's own fallbacks catch only its typed errors
+    real = getattr(synthesis, name)
+    calls = []
+
+    def fail_once(*args, **kwargs):
+        calls.append(name)
+        if len(calls) == call:
+            raise TypeError("not a library error")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(synthesis, name, fail_once)
+    ps, planes = gen_random_all_labels(8, 3, 2, 0.15, 0)
+    with pytest.raises(TypeError, match="not a library error"):
+        run(SynthesisProblem(ps, 0, {1: planes[1]}))
 
 
 class TestVerifyReport:
