@@ -220,8 +220,9 @@ def gen_random_all_labels(n: int, d: int, k: int, margin: float, seed: int,
     the 2^k sign cells, every point at distance >= margin from every plane.
 
     Returns (LabeledPointSet, {property: Hyperplane}).  Deterministic in seed.
-    Raises DegeneratePositionError when the general-position check over the
-    C(n, d+1) point subsets would exceed its cap.
+    Samples with d + 1 points on one hyperplane are redrawn.  Raises
+    DegeneratePositionError when that check would exceed its cap of
+    C(n, d) hyperplanes (200,000: 30 points in R^5 pass, 60 do not).
     """
     if not (d >= k >= 1):
         raise BadParamsError("requires d >= k >= 1")

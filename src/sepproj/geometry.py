@@ -43,12 +43,6 @@ class OrthoBasis:
     def dim(self) -> int:
         return self.vectors.shape[1]
 
-    def gram_residual(self) -> float:
-        if self.count == 0:
-            return 0.0
-        G = self.vectors @ self.vectors.T
-        return float(np.abs(G - np.eye(self.count)).max())
-
     @staticmethod
     def empty(dim: int) -> "OrthoBasis":
         return OrthoBasis(np.zeros((0, dim)))

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import chain, combinations, islice
 from typing import Callable
 
 import numpy as np
@@ -29,6 +29,7 @@ from .data import LabeledPointSet
 from .errors import (
     ActuallySeparableError,
     AllDegenerateError,
+    BadParamsError,
     DegeneratePositionError,
     InvalidCertificateError,
     NotAllLabelsError,
@@ -108,18 +109,6 @@ class ImpossibleOutcome:
     @property
     def impossible(self) -> bool:
         return True
-
-
-def is_separation_preserving(w, normals, tol: float = DEFAULT_TOLS.orth) -> bool:
-    """A projection direction keeps every fixed hyperplane separating iff it is
-    orthogonal to each of their normals."""
-    w = np.asarray(w, dtype=float)
-    normals = np.asarray(normals, dtype=float)
-    if normals.size == 0:
-        return True
-    if normals.shape[-1] != w.shape[0]:
-        raise ValueError("normal and direction dimensions differ")
-    return bool(np.abs(normals @ w).max() <= tol)
 
 
 def max_margin_planes(ps: LabeledPointSet, props,
@@ -306,29 +295,57 @@ def _finish_single(prob, ps, keep, planes, basis_a, w, cert, tols,
 # degeneracy-removing perturbation
 
 
+MAX_HYPERPLANES = 200000
+# hyperplanes per batched SVD: bounds the memory and lets a hit stop early
+_HYPERPLANE_CHUNK = 8192
+
+
 def general_position_violations(points: np.ndarray, subset_size: int,
-                                tols: Tolerances = DEFAULT_TOLS,
-                                max_subsets: int = 200000):
-    """Subsets (of the given size) whose affine rank falls below the generic
-    value min(subset_size - 1, ambient dim), i.e. the subset sits on a common
-    lower-dimensional flat.  Returns a list of index tuples (empty = generic)."""
-    n = points.shape[0]
+                                tols: Tolerances = DEFAULT_TOLS):
+    """Whether ``subset_size`` of the points lie on one common hyperplane.
+
+    The points live in R^D and ``subset_size`` must be at least D + 1, so a
+    subset is degenerate exactly when it fits in a hyperplane.  Its affine
+    basis extends, with other points of the set, to D points spanning either
+    one hyperplane or, when the whole set has affine rank below D, the whole
+    set; every hyperplane through those D points then holds the subset.  So
+    the check takes one hyperplane through each of the C(n, D) D-point
+    subsets and counts the points within ``tols.rank * scale`` of it, where
+    scale is max(1, the largest absolute coordinate).
+
+    Returns ``[]`` for a set in general position, or a one-element list with
+    the sorted indices of ``subset_size`` points on the first hyperplane
+    found.  Raises DegeneratePositionError, before any allocation, when the
+    C(n, D) hyperplanes exceed ``MAX_HYPERPLANES``.
+    """
+    n, dim = points.shape
+    if subset_size <= dim:
+        raise BadParamsError("subset size must exceed the ambient dimension")
     if subset_size > n:
         return []
-    count = math.comb(n, subset_size)
-    if count > max_subsets:
+    count = math.comb(n, dim)
+    if count > MAX_HYPERPLANES:
         raise DegeneratePositionError(
-            f"general-position check over {count} subsets exceeds the cap"
+            f"general-position check over {count} hyperplanes exceeds the cap"
         )
-    arr = np.array(list(combinations(range(n), subset_size)))
-    diffs = points[arr[:, 1:]] - points[arr[:, :1]]
-    sv = np.linalg.svd(diffs, compute_uv=False)
-    scale = max(1.0, float(np.abs(points).max()))
-    # generic affine rank of s points in dim-space is min(s-1, dim); flag any
-    # subset falling below it (all points on a common lower-dim flat)
-    generic = min(subset_size - 1, points.shape[1])
-    bad = sv[:, generic - 1] <= tols.rank * scale
-    return [tuple(t) for t in arr[bad]]
+    tol = tols.rank * max(1.0, float(np.abs(points).max()))
+    flat = chain.from_iterable(combinations(range(n), dim))
+    while True:
+        idx = np.fromiter(islice(flat, _HYPERPLANE_CHUNK * dim), dtype=np.intp)
+        if idx.size == 0:
+            return []
+        idx = idx.reshape(-1, dim)
+        base = points[idx[:, 0]]
+        # row 0 of each difference matrix is zero, so the last right singular
+        # vector is normal to a hyperplane through the D points (to one of
+        # many when they are affinely dependent)
+        normal = np.linalg.svd(points[idx] - base[:, None, :])[2][:, -1]
+        dist = np.abs(normal @ points.T - np.einsum("ij,ij->i", normal, base)[:, None])
+        on = dist <= tol
+        hit = on.sum(axis=1) >= subset_size
+        if hit.any():
+            row = on[np.argmax(hit)]
+            return [tuple(int(i) for i in np.flatnonzero(row)[:subset_size])]
 
 
 def _pad_selection(act_p, act_q, Pf, Qf, need, anchor, anchor_locked):
@@ -432,7 +449,9 @@ def perturb_general_position(P, Q, w, eps_perturb: float = 1e-6,
                 continue
             dist = min(np.linalg.norm(w_new - w), np.linalg.norm(w_new + w))
             if dist > eps_perturb:
-                delta *= 0.5
+                # the distance is about linear in delta: skip the halvings
+                # that would still land above eps_perturb
+                delta *= 0.5 ** max(1, math.floor(math.log2(dist / eps_perturb)))
                 continue
             flat = flat_coordinates(np.vstack([P, Q]),
                                     OrthoBasis(w_new[None, :]), tols)

@@ -150,11 +150,16 @@ class TestRandomAllLabels:
         with pytest.raises(BadParamsError):
             gen_random_all_labels(8, 2, 3, 0.1, 0)  # d < k
 
+    def test_thirty_points_in_r5(self):
+        # C(30, 5) = 142,506 hyperplanes: under the general-position cap
+        ps, planes = gen_random_all_labels(30, 5, 2, 0.1, 2)
+        assert ps.n == 30 and ps.uses_all_labels()
+
     def test_subset_cap_raises_at_once(self):
-        # C(30, 6) = 593,775 subsets exceed the general-position check's cap
+        # C(60, 5) = 5,461,512 hyperplanes exceed the general-position cap
         t0 = time.perf_counter()
         with pytest.raises(DegeneratePositionError):
-            gen_random_all_labels(30, 5, 2, 0.1, 2)
+            gen_random_all_labels(60, 5, 2, 0.1, 2)
         assert time.perf_counter() - t0 < 1.0
 
 

@@ -18,7 +18,6 @@ from sepproj.synthesis import (
     bc_predicate,
     construct_eliminating_projection,
     general_position_violations,
-    is_separation_preserving,
     linear_predicate,
     max_margin_planes,
     multi_projection_driver,
@@ -29,15 +28,22 @@ from sepproj.synthesis import (
 
 
 class TestSeparationPreserving:
+    # a direction keeps every fixed hyperplane separating iff it is orthogonal
+    # to each normal: projecting along it leaves every side value unchanged
     def test_no_planes_always_true(self):
-        assert is_separation_preserving(np.array([1.0, 0.0]), np.zeros((0, 2)))
+        ps = LabeledPointSet(np.array([[0.0, 0.0], [1.0, 0.0]]), np.array([[-1, 1]]))
+        out = construct_eliminating_projection(SynthesisProblem(ps, 0))
+        assert out.preserving_residual == 0.0
 
     def test_parallel_to_normal_false(self):
         v = np.array([[0.0, 1.0, 0.0]])
-        assert not is_separation_preserving(np.array([0.0, 1.0, 0.0]), v)
+        assert np.abs(v @ v[0]).max() > 1e-10
+        X = np.random.default_rng(1).normal(size=(6, 3))
+        assert np.abs(project_points(X, OrthoBasis(v)) @ v[0]).max() <= 1e-12
 
     def test_orthogonalized_direction_true(self):
         rng = np.random.default_rng(0)
+        X = rng.normal(size=(6, 5))
         for _ in range(10):
             N = rng.normal(size=(2, 5))
             w = rng.normal(size=5)
@@ -45,7 +51,9 @@ class TestSeparationPreserving:
             for row in np.linalg.qr(N.T)[0].T[:2]:
                 w = w - (w @ row) * row
             w /= np.linalg.norm(w)
-            assert is_separation_preserving(w, N, tol=1e-9)
+            assert np.abs(N @ w).max() <= 1e-9
+            proj = project_points(X, OrthoBasis(w[None, :]))
+            assert np.allclose(proj @ N.T, X @ N.T, atol=1e-9)
 
 
 class TestConstructProjection:
@@ -139,17 +147,18 @@ class TestPerturbation:
             coords = np.vstack([Pc, Qc])
             assert general_position_violations(coords, ps.d + 1) == []
 
-    # w_new and info as recorded before the flat coordinates had one helper;
-    # both must be reproduced bit for bit
+    # w_new and info as recorded before the flat coordinates had one helper,
+    # with the attempts counted since rejected deltas skip the halvings bound
+    # to fail; both must be reproduced bit for bit
     _GOLDEN = {
         0: ([-0.7123236092087666, 0.5609003020240243, 0.4218837837048906],
             {"selected_p": [0, 1], "selected_q": [0, 1], "anchor": (1, 0),
              "delta": 3.814697265625e-06, "distance": 8.345239868740897e-07,
-             "attempts": 19}),
+             "attempts": 3}),
         1: ([-0.3913359652984921, 0.9181858095696346, 0.061570945817422916],
             {"selected_p": [0], "selected_q": [0, 1, 2], "anchor": (1, 2),
              "delta": 9.5367431640625e-07, "distance": 5.38741873066645e-07,
-             "attempts": 21}),
+             "attempts": 4}),
     }
 
     @pytest.mark.parametrize("seed", sorted(_GOLDEN))
@@ -163,11 +172,11 @@ class TestPerturbation:
 
     def test_general_position_cap_checked_before_enumeration(self, monkeypatch):
         def enumerate_subsets(*args):
-            raise AssertionError("subsets enumerated before the cap check")
+            raise AssertionError("hyperplanes enumerated before the cap check")
 
         monkeypatch.setattr(synthesis, "combinations", enumerate_subsets)
-        points = np.random.default_rng(0).normal(size=(30, 5))
-        with pytest.raises(DegeneratePositionError, match="593775 subsets"):
+        points = np.random.default_rng(0).normal(size=(60, 5))
+        with pytest.raises(DegeneratePositionError, match="5461512 hyperplanes"):
             general_position_violations(points, 6)
 
     def test_overlapping_interiors_keep_direction(self):
