@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sepproj.errors import BadParamsError
 from sepproj.synthesis import general_position_violations
 
 # no three collinear in R^2; no four coplanar in R^3
@@ -76,6 +77,12 @@ def test_fixture(name, s, bad):
 def test_rescaled_fixture(factor, s, bad):
     points = np.array(FIXTURES["three-collinear-r2"][0], dtype=float) * factor
     assert _flagged(points, s) == bad
+
+
+def test_subset_must_exceed_dimension():
+    # any D points of R^D fit in a hyperplane, so smaller subsets say nothing
+    with pytest.raises(BadParamsError):
+        general_position_violations(np.array(G3, dtype=float), 3)
 
 
 def _enumerate_violations(points, s, tol=1e-9):
