@@ -2,6 +2,7 @@ import hashlib
 
 import numpy as np
 import pytest
+from scipy.spatial import ConvexHull, QhullError
 
 from sepproj.data import LabeledPointSet
 from sepproj.errors import BadParamsError, EmptySubspaceError
@@ -367,16 +368,26 @@ def _interval_case(name):
     return ps, (N[1:1 + n_normals] if n_normals else None)
 
 
+def _interval_climb(name):
+    seed, _, _, _, _, starts, n_dir, refine, keep = _INTERVAL_CASES[name]
+    ps, normals = _interval_case(name)
+    spec = OverlapSpec(kind="interval", n_directions=n_dir,
+                       refine_iters=refine)
+    feas = separability_feasibility(ps, keep) if keep else None
+    return maximize_overlap(ps, spec, keep_normals=normals, starts=starts,
+                            seed=seed, feasible=feas)
+
+
+def _f_value_direction(name):
+    seed, _, d, _, _, _, _, _, _ = _INTERVAL_CASES[name]
+    w = np.random.default_rng([seed, 1]).normal(size=d)
+    return w / np.linalg.norm(w)
+
+
 class TestIntervalGolden:
     @pytest.mark.parametrize("name", sorted(_INTERVAL_GOLDEN))
     def test_climb_is_bit_identical(self, name):
-        seed, _, _, _, _, starts, n_dir, refine, keep = _INTERVAL_CASES[name]
-        ps, normals = _interval_case(name)
-        spec = OverlapSpec(kind="interval", n_directions=n_dir,
-                           refine_iters=refine)
-        feas = separability_feasibility(ps, keep) if keep else None
-        res = maximize_overlap(ps, spec, keep_normals=normals, starts=starts,
-                               seed=seed, feasible=feas)
+        res = _interval_climb(name)
         value, best, (trace_len, trace_sha), finals = _INTERVAL_GOLDEN[name]
         assert res.value == value
         assert res.best.tolist() == best
@@ -389,10 +400,8 @@ class TestIntervalGolden:
 
     @pytest.mark.parametrize("name", sorted(_F_VALUE_GOLDEN))
     def test_f_value_is_bit_identical(self, name):
-        seed, _, d, _, _, _, _, _, _ = _INTERVAL_CASES[name]
         ps, normals = _interval_case(name)
-        w = np.random.default_rng([seed, 1]).normal(size=d)
-        w /= np.linalg.norm(w)
+        w = _f_value_direction(name)
         value, (v, b, _) = f_value(ps, w, OverlapSpec(kind="interval"), normals)
         assert (value, v.tolist(), b) == (*_F_VALUE_GOLDEN[name], 0.0)
 
@@ -408,6 +417,60 @@ class TestIntervalGolden:
             w = rng.normal(size=d)
             w /= np.linalg.norm(w)
             assert engine.value(w)[0] == f_value(ps, w, spec, normals)[0]
+
+
+# ---------------------------------------------------------------------------
+# the sampled interval score against its exact value
+
+
+def _min_support(S):
+    """min over unit u of max_{s in S} u.s: the hull's smallest facet offset
+    (0 for a flat hull, where the overlap is 0 anyway)."""
+    if S.shape[1] == 1:
+        return float(min(S.max(), -S.min()))
+    try:
+        return float((-ConvexHull(S).equations[:, -1]).min())
+    except QhullError:
+        return 0.0
+
+
+def _exact_interval(ps, w, normals):
+    """Exact interval score after projecting along w and the normals, and the
+    reduced dimension m: the overlap is the smallest support function of
+    N-N, N-P, P-N and P-P."""
+    A = np.vstack([w] + ([] if normals is None else list(normals)))
+    _, s, Vt = np.linalg.svd(A, full_matrices=True)
+    Z = Vt[int((s > 1e-10 * s[0]).sum()):]
+    y = ps.labels[0]
+    sides = (ps.points[y < 0] @ Z.T, ps.points[y > 0] @ Z.T)
+    diffs = [(A[:, None, :] - B[None, :, :]).reshape(-1, Z.shape[0])
+             for A in sides for B in sides]
+    return max(0.0, min(_min_support(S) for S in diffs)), Z.shape[0]
+
+
+def _assert_near_exact(ps, w, normals, reported):
+    """Sampling attains its value, so it never undercuts the exact minimum;
+    with m <= 2 the grid and refinement come within 2e-3 of it.  With m = 3
+    only the lower bound holds (the sampled score overestimates there)."""
+    exact, m = _exact_interval(ps, w, normals)
+    assert reported >= exact - 1e-12
+    if m <= 2:
+        assert reported <= exact + 2e-3
+
+
+class TestIntervalExact:
+    @pytest.mark.parametrize("name", sorted(_INTERVAL_CASES))
+    def test_climb_finals(self, name):
+        ps, normals = _interval_case(name)
+        for w, value in _interval_climb(name).finals:
+            _assert_near_exact(ps, w, normals, value)
+
+    @pytest.mark.parametrize("name", sorted(_F_VALUE_GOLDEN))
+    def test_f_value(self, name):
+        ps, normals = _interval_case(name)
+        w = _f_value_direction(name)
+        value, _ = f_value(ps, w, OverlapSpec(kind="interval"), normals)
+        _assert_near_exact(ps, w, normals, value)
 
 
 # ---------------------------------------------------------------------------
