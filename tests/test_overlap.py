@@ -474,6 +474,88 @@ class TestIntervalExact:
 
 
 # ---------------------------------------------------------------------------
+# dependent directions: the interval score runs over the complement of
+# span(w, keep normals), whatever the rank of the rows that span it
+
+
+def _unit(v):
+    v = np.asarray(v, dtype=float)
+    return v / np.linalg.norm(v)
+
+
+def _generic_instance(d, n=10):
+    rng = np.random.default_rng([d, 11])
+    return _labeled(rng.normal(size=(n, d)), np.where(np.arange(n) % 2, 1, -1))
+
+
+def _random_normals(d, k):
+    rng = np.random.default_rng([d, k, 12])
+    return np.array([_unit(rng.normal(size=d)) for _ in range(k)])
+
+
+def _interval_everywhere(ps, w, normals):
+    """f_value's interval score at w, after checking that the climb engine
+    gives the same bits and that nothing is NaN."""
+    from sepproj.overlap import _IntervalClimbEngine
+    spec = OverlapSpec(kind="interval")
+    value, (v, _, _) = f_value(ps, w, spec, normals)
+    assert _IntervalClimbEngine(ps, spec, normals, 0).value(w)[0] == value
+    assert np.isfinite(value) and np.isfinite(v).all()
+    return value, v
+
+
+class TestIntervalDegenerate:
+    def test_w_in_span_of_normals_one_direction_left(self):
+        ps = _generic_instance(3)
+        N = _random_normals(3, 2)
+        c = _unit(np.cross(N[0], N[1]))
+        value, v = _interval_everywhere(ps, _unit(0.3 * N[0] - 0.7 * N[1]), N)
+        assert value == pytest.approx(g_interval(ps, c), abs=1e-12)
+        assert abs(abs(v @ c) - 1.0) <= 1e-12
+
+    def test_w_in_span_of_normals_two_directions_left(self):
+        ps = _generic_instance(4)
+        N = _random_normals(4, 2)
+        w = _unit(0.8 * N[0] + 0.2 * N[1])
+        value, _ = _interval_everywhere(ps, w, N)
+        _assert_near_exact(ps, w, N, value)
+
+    def test_duplicated_normal(self):
+        ps = _generic_instance(4)
+        N = _random_normals(4, 1)
+        w = _unit(np.random.default_rng(13).normal(size=4))
+        once = _interval_everywhere(ps, w, N)
+        twice = _interval_everywhere(ps, w, np.vstack([N, N]))
+        assert once[0] == twice[0]
+        assert once[1].tolist() == twice[1].tolist()
+
+    def test_w_not_orthogonal_to_normals(self):
+        ps = _generic_instance(3)
+        N = _random_normals(3, 1)
+        w = _unit(N[0] + np.array([0.5, -0.2, 0.1]))
+        c = _unit(np.cross(w, N[0]))
+        value, v = _interval_everywhere(ps, w, N)
+        assert value == pytest.approx(g_interval(ps, c), abs=1e-12)
+        assert abs(abs(v @ c) - 1.0) <= 1e-12
+        ps4 = _generic_instance(4)
+        N4 = _random_normals(4, 1)
+        w4 = _unit(N4[0] + np.array([0.5, -0.2, 0.1, 0.3]))
+        _assert_near_exact(ps4, w4, N4, _interval_everywhere(ps4, w4, N4)[0])
+
+    @pytest.mark.parametrize("d, k", [(3, 2), (2, 2)])
+    def test_no_direction_left(self, d, k):
+        from sepproj.overlap import _IntervalClimbEngine
+        ps = _generic_instance(d)
+        N = _random_normals(d, k)
+        w = _unit(np.random.default_rng(14).normal(size=d))
+        spec = OverlapSpec(kind="interval")
+        with pytest.raises(EmptySubspaceError):
+            f_value(ps, w, spec, N)
+        with pytest.raises(EmptySubspaceError):
+            _IntervalClimbEngine(ps, spec, N, 0).value(w)
+
+
+# ---------------------------------------------------------------------------
 # golden svm climbs: every figure was recorded before the climb had a single
 # accept rule, and must be reproduced bit for bit
 
