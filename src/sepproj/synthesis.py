@@ -31,6 +31,7 @@ from .errors import (
     AllDegenerateError,
     BadParamsError,
     DegeneratePositionError,
+    EmptySubspaceError,
     InvalidCertificateError,
     NotAllLabelsError,
     NotIntersectingError,
@@ -404,6 +405,8 @@ def perturb_general_position(P, Q, w, eps_perturb: float = 1e-6,
     n, m = P.shape[0], Q.shape[0]
     if n + m < d + 1:
         raise TooFewPointsError("the two sets together must span the space")
+    if d < 2:
+        raise EmptySubspaceError("projecting along w leaves a point: needs d >= 2")
 
     basis_w = OrthoBasis(w[None, :])
     Pf = flat_coordinates(P, basis_w, tols)

@@ -6,6 +6,7 @@ from sepproj.constructions import gen_missing_label, gen_random_all_labels
 from sepproj.data import LabeledPointSet
 from sepproj.errors import (
     DegeneratePositionError,
+    EmptySubspaceError,
     NotIntersectingError,
     NotSeparableInputError,
     TooFewPointsError,
@@ -198,6 +199,11 @@ class TestPerturbation:
         Q = np.array([[0.0, 0.0, 0.0]])
         with pytest.raises(TooFewPointsError):
             perturb_general_position(P, Q, np.array([0.0, 0.0, 1.0]))
+
+    def test_one_dimensional_data_raises_typed_error(self):
+        # the projected flat is a point: no room to perturb into
+        with pytest.raises(EmptySubspaceError):
+            perturb_general_position([[0.], [1.]], [[0.5], [2.]], [1.])
 
 
 class TestDriver:
