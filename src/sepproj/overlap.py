@@ -80,15 +80,6 @@ def _with_normals(w, keep_normals) -> OrthoBasis:
     return orthonormalize(np.vstack(rows))
 
 
-def _reduced_data(points, constraints: OrthoBasis):
-    """Coordinates of the points in the complement of the constraints, and
-    that complement's basis Z."""
-    Z = complement_basis(constraints)
-    if Z.count == 0:
-        raise EmptySubspaceError("constraints leave no direction for the score")
-    return points @ Z.vectors.T, Z
-
-
 def _fix_equality(alpha, y, C):
     """Clip a warm start to the box and restore y.alpha = 0 by shrinking the
     heavier side."""
@@ -257,7 +248,10 @@ def min_overlap(ps: LabeledPointSet, spec: OverlapSpec,
     """
     if constraints is None:
         constraints = OrthoBasis.empty(ps.d)
-    X, Z = _reduced_data(ps.points, constraints)
+    Z = complement_basis(constraints)
+    if Z.count == 0:
+        raise EmptySubspaceError("constraints leave no direction for the score")
+    X = ps.points @ Z.vectors.T
     y = ps.labels[hidden].astype(float)
     if spec.kind == "svm":
         K = np.ascontiguousarray(X @ X.T)
@@ -273,9 +267,15 @@ def f_value(ps: LabeledPointSet, w, spec: OverlapSpec,
             _warm: np.ndarray | None = None):
     """Overlap of the hidden property after projecting along unit w: the score
     minimum over directions orthogonal to w (and to any fixed keep normals).
-    The data itself is not re-projected; the constraint substitutes for it."""
-    constraints = _with_normals(np.asarray(w, dtype=float), keep_normals)
-    v, b, value, alpha = min_overlap(ps, spec, constraints, hidden, _warm=_warm)
+    The data itself is not re-projected; the constraint substitutes for it.
+    The interval kind is the climb engine's own evaluation, so a climb's
+    values are ``f_value``'s bit for bit."""
+    w = np.asarray(w, dtype=float)
+    if spec.kind == "interval":
+        v, value = _IntervalClimbEngine(ps, spec, keep_normals, hidden).minimum(w)
+        return value, (v, 0.0, None)
+    v, b, value, alpha = min_overlap(ps, spec, _with_normals(w, keep_normals),
+                                     hidden, _warm=_warm)
     return value, (v, b, alpha)
 
 
@@ -314,24 +314,50 @@ class _SvmClimbEngine:
         return (w @ s) / (2.0 * self.lam) * s
 
 
+def _reflector_complement(a, tol: float) -> np.ndarray:
+    """Orthonormal rows spanning the complement of a in R^k: the rows after
+    the first of the Householder reflector that maps a onto the first axis.
+    All of R^k when |a| <= tol."""
+    k = a.shape[0]
+    na = float(np.linalg.norm(a))
+    if na <= tol:
+        return np.eye(k)
+    u = a / na
+    a0 = abs(u[0])
+    u[0] += 1.0 if u[0] >= 0.0 else -1.0  # no cancellation: |u[0]| >= 1
+    return np.eye(k)[1:] - np.outer(u[1:], u) / (1.0 + a0)
+
+
 class _IntervalClimbEngine:
-    """Per-instance cache for the interval score: the two sides' masks and
-    the keep-normal rows.  An evaluation forms the constraints and their
-    complement Z exactly as ``f_value`` does, so the direction grid keeps its
-    orientation and every value equals ``f_value``'s bit for bit."""
+    """Per-instance cache for the interval score.  The keep normals are
+    orthonormalized once, and the points are given coordinates in their
+    complement C, split by side.  An evaluation at w then needs only an
+    orthonormal basis H of the complement of C w inside that space, from one
+    Householder reflector; the score is minimized over the rows of H C."""
 
     def __init__(self, ps: LabeledPointSet, spec: OverlapSpec, keep_normals,
                  hidden: int):
         self.spec = spec
-        self.P = ps.points
+        if keep_normals is not None and len(keep_normals):
+            N = orthonormalize(np.asarray(keep_normals, dtype=float))
+            self.C = complement_basis(N).vectors
+        else:
+            self.C = np.eye(ps.d)
+        PC = ps.points @ self.C.T
         y = ps.labels[hidden]
-        self.neg, self.pos = y < 0, y > 0
-        self.N = keep_normals
+        self.Xn, self.Xp = PC[y < 0], PC[y > 0]
+
+    def minimum(self, w):
+        """(v, value): the minimizing unit direction in R^d and the score."""
+        tol = DEFAULT_TOLS.rank * max(1.0, float(np.abs(w).max()))
+        H = _reflector_complement(self.C @ w, tol)
+        if H.shape[0] == 0:
+            raise EmptySubspaceError("constraints leave no direction for the score")
+        u, value = _interval_minimum(self.Xn @ H.T, self.Xp @ H.T, self.spec)
+        return (u @ H) @ self.C, float(value)
 
     def value(self, w, warm=None):
-        X, _ = _reduced_data(self.P, _with_normals(w, self.N))
-        _, value = _interval_minimum(X[self.neg], X[self.pos], self.spec)
-        return float(value), None
+        return self.minimum(w)[1], None
 
     def gradient(self, w, warm, E, h=1e-5):
         """Central differences of the value along the tangent basis E."""

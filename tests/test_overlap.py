@@ -282,8 +282,9 @@ class TestMaximize:
 
 
 # ---------------------------------------------------------------------------
-# golden interval climbs: every figure was recorded before the interval score
-# had its own climb engine, and must be reproduced bit for bit
+# golden interval climbs: every figure was recorded when the interval score
+# first took its bases from one keep-normal complement per climb and a
+# Householder reflector per direction, and must be reproduced bit for bit
 
 
 def _planted_instance(seed, n, d, k, margin=0.15):
@@ -316,49 +317,49 @@ _INTERVAL_GOLDEN = {
     "reduced-1": (
         0.7085717698868366,
         [0.6107030736060522, 0.7397499725648218, 0.28250970598984115],
-        (17, "c8747728a1b98cfb4cdd596881083ecfc5389e2ec59a58f09345c0611ac01248"),
+        (17, "fb59fee4962a63023f073b5ae5cc698298b71e20eed436d6d075593614c24089"),
         [([0.6107030737445337, 0.739749971372715, 0.28250970881200876],
           0.7085717649776906),
          ([0.6107030736060522, 0.7397499725648218, 0.28250970598984115],
           0.7085717698868366)]),
     "reduced-2": (
-        0.39577726427621973,
-        [-0.3670614955137392, 0.1526946127207646, 0.43191282320591373,
-         0.809568728958555],
-        (16, "911fd9461e5fcdfe7193832a09e1654a94e862caa64278a790c0635e54b4e804"),
+        0.4261541669542558,
+        [-0.5569487605391586, 0.5714672264026203, 0.24180900521087204,
+         0.5520522550271123],
+        (14, "e6f1ab0dc71112756083c8586da91436fdd7c7d04220eef114e997037d6f0085"),
         None),
     "reduced-3": (
-        0.6391959214551116,
-        [-0.26640075932809254, -0.7146244239853727, 0.621878519037264,
-         -0.13301640507037757, -0.11796741759978867],
-        (15, "daae75fe5afe9b68acfb410d1666f8cddc65037e452237198895aaf7cdf78474"),
+        0.2929518453948216,
+        [-0.2974051882333099, -0.5597889501861896, 0.6597275128327532,
+         0.00995882545930206, -0.40354295418001535],
+        (20, "27e6f56403703680eb60706130d3eb3411fbbad4507d91901cf6372d84b96fb9"),
         None),
     "no-normals": (
-        0.32043512688301357,
-        [-0.7266386518441144, 0.5480503750767296, 0.1309375937772818,
-         0.39305521566344787],
-        (18, "bbe9733fd1ed09e0053830996e58bb1f45ea958127ba1c5d2dc174816b6941cc"),
+        0.2131138070724769,
+        [-0.8071873712714924, 0.48675735727857933, -0.23845704768491133,
+         -0.2337820763112252],
+        (16, "20e629bf302a44db4736dcc1cd7360b180a22307d5cd7160cb9a332d4adf5e61"),
         None),
     "feasibility": (
-        0.49433377765912045,
-        [-0.44779567071050236, 0.3023685389151192, 0.8414584386452294],
-        (12, "ed9044e4a65ddec029831310de9383f41cef63fc2169fb728454e30f2109c246"),
+        0.4943586596015049,
+        [-0.25602635272255053, 0.11973331045284712, 0.9592259593440904],
+        (15, "47ede7997e01a7daedd3ad6bdd5045f01ede268a949d2706c7af9a22f9aedc05"),
         None),
 }
 
 # f_value at a seeded unit w with the default spec: value and minimizing v
 _F_VALUE_GOLDEN = {
-    "reduced-1": (0.438590599219965,
-                  [0.1780328425359781, -0.2169633644233244, 0.9598079002991544]),
-    "reduced-2": (0.3088210737031732,
-                  [-0.11521278047587472, 0.4286038964399008, 0.8960483416808881,
-                   0.011049187412815823]),
-    "reduced-3": (0.009674340458329128,
-                  [-0.39517056507786, 0.8598115735387201, -0.1396633240465084,
-                   0.1189036092868743, 0.2663087871621011]),
+    "reduced-1": (0.43859059921996507,
+                  [-0.1780328425359781, 0.2169633644233244, -0.9598079002991544]),
+    "reduced-2": (0.30882107369748235,
+                  [-0.11521278046167757, 0.42860389642993013, 0.8960483416876728,
+                   0.01104918739739258]),
+    "reduced-3": (0.01338902508496545,
+                  [0.3752311422353308, -0.8695982541419295, 0.15524602735395057,
+                   -0.07710277889959134, -0.2701005345549214]),
     "no-normals": (0.0,
-                   [-0.2627628249833849, 0.9027544596580789,
-                    -0.3065977168859139, -0.148283253857427]),
+                   [-0.6883603259721727, 0.6883853653395692,
+                    -0.12527742065776726, 0.1912883119459434]),
 }
 
 
