@@ -349,6 +349,7 @@ class _IntervalClimbEngine:
 
     def minimum(self, w):
         """(v, value): the minimizing unit direction in R^d and the score."""
+        # orthonormalize's drop rule: a w inside span(N) adds no constraint
         tol = DEFAULT_TOLS.rank * max(1.0, float(np.abs(w).max()))
         H = _reflector_complement(self.C @ w, tol)
         if H.shape[0] == 0:
