@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _kernels
 from .config import DEFAULT_TOLS, Tolerances
 from .errors import (
     ActuallySeparableError,
@@ -165,22 +164,84 @@ def weak_separator(P, Q, tols: Tolerances = DEFAULT_TOLS):
     return None
 
 
-def _hard_margin_direction(P, Q, max_iter: int = 60000):
-    """Maximum-margin direction via the hard-margin dual (box at +inf)."""
+def _affine_minimizer(S):
+    """Weights (summing to 1) of the minimum-norm point in the affine hull of
+    the rows of S, from [[S S^T, 1], [1^T, 0]] [a; mu] = [0; 1]."""
+    k = len(S)
+    A = np.ones((k + 1, k + 1))
+    A[:k, :k] = S @ S.T
+    A[k, k] = 0.0
+    b = np.zeros(k + 1)
+    b[k] = 1.0
+    try:
+        return np.linalg.solve(A, b)[:k]
+    except np.linalg.LinAlgError:
+        return np.linalg.lstsq(A, b, rcond=None)[0][:k]
+
+
+def _hard_margin_direction(P, Q, max_iter: int = 1000):
+    """Maximum-margin direction: the minimum-norm point x of
+    conv(Q) - conv(P), normalized, or None when it is not found.
+
+    Wolfe's nearest-point algorithm on the differences q_j - p_i, which are
+    never formed all at once: the vertex minimizing x.(q_j - p_i) is the
+    argmin of x.q_j against the argmax of x.p_i.  The corral S holds such
+    differences, and x is their combination with positive weights lam summing
+    to 1.  The major cycle stops once |x|^2 - x.z <= 1e-13 |x|^2, or once it
+    fails to lower |x|^2.  The data is centred and scaled to unit radius
+    first, so the direction does not depend on the input's scale.
+    """
     X = np.vstack([P, Q])
-    y = np.concatenate([-np.ones(len(P)), np.ones(len(Q))])
-    K = np.ascontiguousarray(X @ X.T)
-    alpha = np.zeros(len(X))
-    iterations, viol = _kernels.smo_box_equality(K, y, 1e14, 0.5, alpha, 1e-11,
-                                                 max_iter)
-    v = X.T @ (alpha * y)
-    nv = np.linalg.norm(v)
-    if nv <= 0 or not np.isfinite(nv) or viol > 1e-6:
-        _log.debug("hard-margin SMO gave no direction after %d iterations "
-                   "(KKT violation %.3g, |v| %.3g); keeping the LP direction",
-                   iterations, viol, nv)
+    c = X.mean(axis=0)
+    s = float(np.abs(X - c).max()) or 1.0
+    P0, Q0 = (P - c) / s, (Q - c) / s
+
+    def vertex(x):
+        return Q0[int(np.argmin(Q0 @ x))] - P0[int(np.argmax(P0 @ x))]
+
+    S = vertex(Q0.mean(axis=0) - P0.mean(axis=0))[None, :]
+    lam = np.ones(1)
+    x = S[0]
+    iterations = 0
+    while True:
+        z = vertex(x)
+        xx = float(x @ x)
+        gap = xx - float(x @ z)
+        if not np.isfinite(xx) or gap <= 1e-13 * xx or iterations == max_iter:
+            break
+        iterations += 1
+        S = np.vstack([S, z])
+        lam = np.append(lam, 0.0)
+        while True:
+            alpha = _affine_minimizer(S)
+            if alpha.min() > 1e-14:
+                lam = alpha
+                break
+            # step from lam towards alpha until the first weight reaches zero;
+            # entries with alpha_i >= lam_i cannot block (0/0 when equal)
+            out = np.flatnonzero((alpha <= 1e-14) & (alpha < lam))
+            ratios = lam[out] / (lam[out] - alpha[out])
+            if out.size and ratios.min() < 1.0:
+                k = int(np.argmin(ratios))
+                lam = ratios[k] * alpha + (1.0 - ratios[k]) * lam
+                lam[out[k]] = 0.0
+                keep = lam > 0.0
+            else:
+                lam = alpha
+                keep = alpha > 1e-14
+            S, lam = S[keep], lam[keep] / lam[keep].sum()
+        x_new = lam @ S
+        if float(x_new @ x_new) >= xx:
+            break
+        x = x_new
+    nx = float(np.sqrt(xx))
+    if nx <= 0 or not np.isfinite(nx) or gap > 1e-6 * xx:
+        _log.debug("hard-margin nearest-point iteration gave no direction after "
+                   "%d iterations (relative gap %.3g, |x| %.3g); keeping the LP "
+                   "direction", iterations, gap / xx if xx > 0 else float("nan"),
+                   nx * s)
         return None
-    return v / nv
+    return x / nx
 
 
 def _best_plane(P, Q, candidates):

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize
 
-from sepproj.separability import linear_separability
+from sepproj.separability import _hard_margin_direction, linear_separability
 
 from util import planted_separable_pair
 
@@ -61,3 +61,22 @@ def test_margin_is_maximal(case):
     res = linear_separability(P, Q)
     assert res.separable and res.strict
     assert res.margin >= ref * (1.0 - 1e-9)
+
+
+def test_hard_margin_direction_is_scale_invariant():
+    rng = np.random.default_rng(31)
+    for _ in range(20):
+        P, Q, _ = planted_separable_pair(rng, 4, 15, 15, float(rng.uniform(0.01, 0.5)))
+        u0 = _hard_margin_direction(P, Q)
+        assert u0 is not None
+        for k in range(-40, 41, 5):
+            u = _hard_margin_direction(2.0 ** k * P, 2.0 ** k * Q)
+            assert u is not None
+            assert np.abs(u - u0).max() <= 1e-12
+
+
+def test_hard_margin_direction_terminates_on_stalling_pair():
+    P, Q = _stalling_pair()
+    u = _hard_margin_direction(P, Q)
+    assert u is not None
+    assert 0.5 * ((Q @ u).min() - (P @ u).max()) >= 8.199232279677

@@ -57,7 +57,7 @@ class TestLinearSeparability:
         assert record.levelno == logging.DEBUG
         assert record.name.startswith("sepproj")
         assert "iterations" in record.getMessage()
-        assert "KKT violation" in record.getMessage()
+        assert "relative gap" in record.getMessage()
         caplog.clear()
         with caplog.at_level(logging.DEBUG, logger="sepproj"):
             assert _hard_margin_direction(P, Q) is not None
