@@ -78,4 +78,5 @@ class InvariantViolationError(SepProjError):
 
 
 class LPError(SepProjError):
-    """Internal LP solver failure (iteration cap or numeric breakdown)."""
+    """LP solver failure: HiGHS ended without a verdict, or its optimum failed
+    the residual check."""

@@ -1,9 +1,12 @@
-"""Small dense LP front end over the two-phase simplex kernel.
+"""Small dense LP front end over HiGHS.
 
-Interface mirrors the usual ``min c.x  s.t.  A_ub x <= b_ub, A_eq x = b_eq,
-lo <= x <= hi`` shape.  Instances here are tiny (tens of variables), so
-everything is dense and deterministic: Dantzig pivoting with an automatic
-switch to Bland's rule on degeneracy.
+``solve_lp`` takes the usual ``min c.x  s.t.  A_ub x <= b_ub, A_eq x = b_eq,
+lo <= x <= hi`` shape and hands it to HiGHS's dual revised simplex in one
+call (``_kernels.simplex_standard``): the rows ``[A_ub; A_eq]`` with row
+bounds ``(-inf, b_ub]`` and ``[b_eq, b_eq]``, and the variable bounds as
+they are.  HiGHS runs with presolve at feasibility tolerances of 1e-10.  An
+optimal point is returned only after its row and bound residuals pass a
+check relative to the data scale.
 """
 from __future__ import annotations
 
@@ -14,9 +17,17 @@ import numpy as np
 from . import _kernels
 from .errors import LPError
 
-OPTIMAL = _kernels.LP_OPTIMAL
-INFEASIBLE = _kernels.LP_INFEASIBLE
-UNBOUNDED = _kernels.LP_UNBOUNDED
+OPTIMAL = 0
+INFEASIBLE = 1
+UNBOUNDED = 2
+
+# HiGHS model status names; any other status raises LPError
+_STATUS = {
+    "kOptimal": OPTIMAL,
+    "kInfeasible": INFEASIBLE,
+    "kUnbounded": UNBOUNDED,
+    "kUnboundedOrInfeasible": UNBOUNDED,
+}
 
 
 @dataclass
@@ -31,112 +42,48 @@ class LPResult:
         return self.status == OPTIMAL
 
 
+def _rows(A, b, nvar):
+    if A is None:
+        return np.zeros((0, nvar)), np.zeros(0)
+    return np.atleast_2d(np.asarray(A, dtype=float)), np.asarray(b, dtype=float)
+
+
 def solve_lp(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None, bounds=None,
              feas_tol: float = 1e-9) -> LPResult:
     """Solve a dense LP.  ``bounds`` is a list of (lo, hi) per variable with
-    ``None`` meaning unbounded; default is (0, None) for every variable.  The
-    simplex gets 200 * (rows + columns) + 2000 iterations of the standard
-    form."""
+    ``None`` meaning unbounded; default is (0, None) for every variable.
+
+    An optimal x violates no row or bound by more than ``feas_tol`` times
+    ``max(1, max|A| max|x|, max|b|)``, or ``LPError`` is raised.  HiGHS's
+    "unbounded or infeasible" counts as unbounded; any status other than
+    optimal, infeasible or unbounded raises ``LPError``.  On an infeasible
+    exit ``infeasibility`` is HiGHS's sum of primal infeasibilities, infinite
+    when presolve found the conflict.
+    """
     c = np.asarray(c, dtype=float)
     nvar = c.shape[0]
+    A_ub, b_ub = _rows(A_ub, b_ub, nvar)
+    A_eq, b_eq = _rows(A_eq, b_eq, nvar)
     if bounds is None:
-        bounds = [(0.0, None)] * nvar
-    if A_ub is None:
-        A_ub = np.zeros((0, nvar))
-        b_ub = np.zeros(0)
+        lo, hi = np.zeros(nvar), np.full(nvar, np.inf)
     else:
-        A_ub = np.atleast_2d(np.asarray(A_ub, dtype=float))
-        b_ub = np.asarray(b_ub, dtype=float)
-    if A_eq is None:
-        A_eq = np.zeros((0, nvar))
-        b_eq = np.zeros(0)
-    else:
-        A_eq = np.atleast_2d(np.asarray(A_eq, dtype=float))
-        b_eq = np.asarray(b_eq, dtype=float)
-
-    # Column transforms to reach x' >= 0: shift finite lower bounds, split free
-    # variables, negate upper-bounded-only variables.
-    cols = []          # per variable: list of (column index, sign)
-    shifts = np.zeros(nvar)
-    extra_ub_rows = []  # (var, hi) for finite upper bounds
-    ncols = 0
-    for j, (lo, hi) in enumerate(bounds):
-        if lo is None and hi is None:
-            cols.append(((ncols, 1.0), (ncols + 1, -1.0)))
-            ncols += 2
-        elif lo is None:
-            # x <= hi only: substitute x = hi - x', x' >= 0
-            shifts[j] = hi
-            cols.append(((ncols, -1.0),))
-            ncols += 1
-        else:
-            shifts[j] = lo
-            cols.append(((ncols, 1.0),))
-            ncols += 1
-            if hi is not None:
-                extra_ub_rows.append((j, hi - lo))
-
-    def expand(M):
-        out = np.zeros((M.shape[0], ncols))
-        for j in range(nvar):
-            for idx, sgn in cols[j]:
-                out[:, idx] += sgn * M[:, j]
-        return out
-
-    A_ub_x = expand(A_ub)
-    b_ub_x = b_ub - A_ub @ shifts
-    A_eq_x = expand(A_eq)
-    b_eq_x = b_eq - A_eq @ shifts
-    c_x = np.zeros(ncols)
-    for j in range(nvar):
-        for idx, sgn in cols[j]:
-            c_x[idx] += sgn * c[j]
-
-    n_extra = len(extra_ub_rows)
-    n_ub = A_ub_x.shape[0] + n_extra
-    n_eq = A_eq_x.shape[0]
-    A = np.zeros((n_ub + n_eq, ncols + n_ub))
-    b = np.zeros(n_ub + n_eq)
-    A[: A_ub_x.shape[0], :ncols] = A_ub_x
-    b[: A_ub_x.shape[0]] = b_ub_x
-    for r, (j, cap) in enumerate(extra_ub_rows):
-        row = A_ub_x.shape[0] + r
-        for idx, sgn in cols[j]:
-            A[row, idx] = sgn
-        b[row] = cap
-    for i in range(n_ub):
-        A[i, ncols + i] = 1.0
-    A[n_ub:, :ncols] = A_eq_x
-    b[n_ub:] = b_eq_x
-
-    c_full = np.concatenate([c_x, np.zeros(n_ub)])
-    max_iter = 200 * (A.shape[0] + A.shape[1]) + 2000
-    # heavily degenerate instances (coincident points, exact symmetry) can
-    # stall or numerically break the pivoting; graded deterministic jitter on
-    # the right-hand side, then on the matrix, removes the degeneracy while
-    # staying far below every certificate-validation tolerance
-    scale_b = max(1.0, float(np.abs(b).max()) if b.size else 1.0)
-    scale_a = max(1.0, float(np.abs(A).max()) if A.size else 1.0)
-    rows = np.arange(1.0, A.shape[0] + 1.0)
-    retryable = (_kernels.LP_ITERATION_LIMIT, _kernels.LP_BREAKDOWN)
-    status = _kernels.LP_ITERATION_LIMIT
-    for b_jit, a_jit in ((0.0, 0.0), (1e-11, 0.0), (4e-10, 1e-11), (2e-8, 4e-10)):
-        bj = b + b_jit * scale_b * rows
-        if a_jit:
-            rng = np.random.default_rng(0x51D)
-            Aj = A + a_jit * scale_a * rng.standard_normal(A.shape)
-        else:
-            Aj = A
-        status, xs, _, infeas = _kernels.simplex_standard(Aj, bj, c_full,
-                                                          feas_tol, max_iter)
-        if status not in retryable:
-            break
-    if status in retryable:
-        raise LPError("simplex could not solve the instance")
-    if status != OPTIMAL:
-        return LPResult(status, None, np.nan, infeas)
-    x = shifts.copy()
-    for j in range(nvar):
-        for idx, sgn in cols[j]:
-            x[j] += sgn * xs[idx]
-    return LPResult(OPTIMAL, x, float(c @ x), infeas)
+        lo = np.array([-np.inf if l is None else l for l, _ in bounds], dtype=float)
+        hi = np.array([np.inf if h is None else h for _, h in bounds], dtype=float)
+    A = np.vstack([A_ub, A_eq])
+    b = np.concatenate([b_ub, b_eq])
+    row_lo = np.concatenate([np.full(b_ub.shape[0], -np.inf), b_eq])
+    status, x, infeasibility = _kernels.simplex_standard(c, A, row_lo, b, lo, hi)
+    code = _STATUS.get(status)
+    if code is None:
+        raise LPError(f"HiGHS ended with model status {status}")
+    if code != OPTIMAL:
+        return LPResult(code, None, np.nan, infeasibility)
+    Ax = A @ x
+    # a NaN anywhere makes the residual NaN, which fails the check
+    residual = np.concatenate([row_lo - Ax, Ax - b, lo - x, x - hi]).max(initial=0.0)
+    scale = max(1.0, np.abs(A).max(initial=0.0) * np.abs(x).max(initial=0.0),
+                np.abs(b).max(initial=0.0))
+    if not residual <= feas_tol * scale:
+        raise LPError(f"HiGHS optimum violates a constraint by {residual:.3g} "
+                      f"(allowed {feas_tol * scale:.3g})")
+    return LPResult(OPTIMAL, x, float(c @ x), infeasibility)

@@ -111,15 +111,11 @@ def _check_pair(P, Q):
     return P, Q
 
 
-def max_slack_separator(P, Q, tols: Tolerances = DEFAULT_TOLS):
-    """(slack, v, c) maximizing s with v.p <= c - s, v.q >= c + s, |v|_inf <= 1.
-
-    slack > 0 iff strictly separable; slack == 0 at best when not.
-    """
-    P, Q = _check_pair(P, Q)
+def _slack_lp(P, Q, bounds, tols: Tolerances):
+    """(v, c, s) maximizing s with v.p <= c - s, v.q >= c + s and the
+    variables (v, c, s) within ``bounds``."""
     n, d = P.shape
     m = Q.shape[0]
-    # vars: v (d), c, s
     A_ub = np.zeros((n + m, d + 2))
     A_ub[:n, :d] = P
     A_ub[:n, d] = -1.0
@@ -130,37 +126,43 @@ def max_slack_separator(P, Q, tols: Tolerances = DEFAULT_TOLS):
     b_ub = np.zeros(n + m)
     cost = np.zeros(d + 2)
     cost[d + 1] = -1.0
-    bounds = [(-1.0, 1.0)] * d + [(None, None), (None, None)]
     res = solve_lp(cost, A_ub=A_ub, b_ub=b_ub, bounds=bounds, feas_tol=tols.lp)
     if not res.ok:
         raise InvalidCertificateError("slack LP unexpectedly unsolvable")
-    v = res.x[:d]
-    return float(res.x[d + 1]), v, float(res.x[d])
+    return res.x
+
+
+def max_slack_separator(P, Q, tols: Tolerances = DEFAULT_TOLS):
+    """(slack, v, c) maximizing s with v.p <= c - s, v.q >= c + s, |v|_inf <= 1.
+
+    slack > 0 iff strictly separable; slack == 0 at best when not.
+    """
+    P, Q = _check_pair(P, Q)
+    d = P.shape[1]
+    x = _slack_lp(P, Q, [(-1.0, 1.0)] * d + [(None, None), (None, None)], tols)
+    return float(x[d + 1]), x[:d], float(x[d])
 
 
 def weak_separator(P, Q, tols: Tolerances = DEFAULT_TOLS):
     """Nonzero (v, c) with v.p <= c <= v.q for all points, or None.
 
     Exact: any weak separator scales to |v|_inf = 1, so fixing each coordinate
-    to +-1 in turn covers all directions.
+    to +-1 in turn covers all directions.  Each fixed coordinate solves the
+    slack LP, which always has an optimum, also when the sides only just
+    touch (a pure feasibility LP can end there without a verdict); the sides
+    are weakly separable along it when the slack is >= -tols.lp times the
+    data scale.
     """
     P, Q = _check_pair(P, Q)
     d = P.shape[1]
-    n, m = P.shape[0], Q.shape[0]
-    A_ub = np.zeros((n + m, d + 1))
-    A_ub[:n, :d] = P
-    A_ub[:n, d] = -1.0
-    A_ub[n:, :d] = -Q
-    A_ub[n:, d] = 1.0
-    b_ub = np.zeros(n + m)
-    cost = np.zeros(d + 1)
+    scale = max(1.0, float(np.abs(P).max()), float(np.abs(Q).max()))
     for j in range(d):
         for sgn in (1.0, -1.0):
-            bounds = [(-1.0, 1.0)] * d + [(None, None)]
+            bounds = [(-1.0, 1.0)] * d + [(None, None), (None, None)]
             bounds[j] = (sgn, sgn)
-            res = solve_lp(cost, A_ub=A_ub, b_ub=b_ub, bounds=bounds, feas_tol=tols.lp)
-            if res.ok:
-                return res.x[:d], float(res.x[d])
+            x = _slack_lp(P, Q, bounds, tols)
+            if x[d + 1] >= -tols.lp * scale:
+                return x[:d], float(x[d])
     return None
 
 

@@ -1,10 +1,11 @@
-"""Golden values for the two numeric kernels, and agreement with the
-element-by-element reference in ``reference_kernels``.
+"""Golden values for the two numeric kernels: the SMO solver, pinned and
+checked against the element-by-element reference in ``reference_kernels``,
+and the HiGHS LP call, checked against ``scipy.optimize.linprog``.
 
-The expected figures were recorded from the element-by-element
-implementation.  Pivot and pair selection must follow the same path, so
-iteration counts, statuses and simplex solutions are pinned exactly.  Inputs
-are small multiples of 1/8, so every Gram entry is exact whatever the BLAS.
+The SMO figures were recorded from the element-by-element implementation.
+Pair selection must follow the same path, so iteration counts and solutions
+are pinned exactly.  Inputs are small multiples of 1/8, so every Gram entry
+is exact whatever the BLAS.
 """
 import numpy as np
 import pytest
@@ -42,7 +43,9 @@ def _hard_margin_points():
 
 
 def test_smo_hard_margin_zero_start():
-    # the call _hard_margin_direction makes: box at 1e14, lam = 0.5
+    # a hard-margin solve: box at 1e14, lam = 0.5 (the max-margin plane
+    # comes from Wolfe's nearest-point algorithm, so only the soft-margin
+    # climbs call the kernel; the hard box is a long, well-pinned path)
     X = _hard_margin_points()
     alpha = np.zeros(24)
     it, viol = _kernels.smo_box_equality(X @ X.T, _labels(), 1e14, 0.5, alpha,
@@ -126,55 +129,72 @@ def _max_slack_standard(P, Q):
     return A, b, c
 
 
-def _random_lp():
+def _golden_lp():
     rng = np.random.default_rng(5)
     A = rng.normal(size=(4, 7))
     b = A @ rng.uniform(0.0, 1.0, 7)
     return A, b, rng.uniform(0.1, 1.0, 7)
 
 
-# (A, b, c), status, nonzero entries of x, objective.  The coincident cases
-# repeat two points many times; each runs more than 80 consecutive
-# zero-ratio pivots, so the simplex switches to Bland's rule.
+def _standard(A, b, c):
+    """min c.x s.t. A x = b, x >= 0, through the bounded form of the kernel."""
+    n = A.shape[1]
+    return _kernels.simplex_standard(c, A, b, b, np.zeros(n), np.full(n, np.inf))
+
+
+# (A, b, c), status, objective.  The coincident cases repeat two points many
+# times, so their LPs are heavily degenerate.
 _LPS = {
-    "optimal": (_random_lp(), _kernels.LP_OPTIMAL,
-                {0: 0.21454178991927414, 1: 0.22110715974385065,
-                 3: 0.1048797060873438, 5: 0.2645703886425946},
-                0.42455863606399846),
+    "optimal": (_golden_lp(), "kOptimal", 0.42455863606399846),
     "infeasible": ((np.array([[1.0, 1.0], [1.0, 1.0]]), np.array([1.0, 2.0]),
-                    np.zeros(2)), _kernels.LP_INFEASIBLE, {}, 0.0),
+                    np.zeros(2)), "kInfeasible", None),
     "unbounded": ((np.array([[1.0, -1.0]]), np.array([1.0]),
-                   np.array([-1.0, 0.0])), _kernels.LP_UNBOUNDED, {0: 1.0}, -1.0),
+                   np.array([-1.0, 0.0])), "kUnbounded", None),
     "coincident_separable": (
         _max_slack_standard(np.array([[0.0, 0.0], [0.0, 1.0]] * 25),
                             np.array([[2.0, 0.0], [2.0, 1.0]] * 25)),
-        _kernels.LP_OPTIMAL, {0: 1.0, 4: 1.0, 6: 1.0}, -1.0),
+        "kOptimal", -1.0),
     "coincident_inseparable": (
         _max_slack_standard(np.array([[1.0, 0.0], [0.0, 1.0]] * 24),
                             np.array([[0.0, 1.0], [1.0, 0.0]] * 24)),
-        _kernels.LP_OPTIMAL, {0: 0.5, 2: 0.5}, 0.0),
+        "kOptimal", 0.0),
 }
 
 
 @pytest.mark.parametrize("name", list(_LPS))
 def test_simplex_standard_golden(name):
-    (A, b, c), status, nonzero, objective = _LPS[name]
-    st, x, obj, _ = _kernels.simplex_standard(A, b, c, 1e-9, 20000)
+    (A, b, c), status, objective = _LPS[name]
+    st, x, _ = _standard(A, b, c)
     assert st == status
-    expected = np.zeros(A.shape[1])
-    expected[list(nonzero)] = list(nonzero.values())
-    np.testing.assert_array_equal(x, expected)
-    assert obj == pytest.approx(objective, rel=0, abs=1e-12)
-    if status == _kernels.LP_OPTIMAL:
-        ref = linprog(c, A_eq=A, b_eq=b, method="highs")
-        assert ref.status == 0
-        assert obj == pytest.approx(ref.fun, abs=1e-9)
+    if status != "kOptimal":
+        assert x is None
+        return
+    assert c @ x == pytest.approx(objective, rel=0, abs=1e-12)
+    assert x.min() >= 0.0
+    np.testing.assert_allclose(A @ x, b, rtol=0, atol=1e-12)
+    ref = linprog(c, A_eq=A, b_eq=b, method="highs")
+    assert ref.status == 0
+    assert c @ x == pytest.approx(ref.fun, abs=1e-9)
 
 
 def test_simplex_infeasibility_measure():
+    # x1 + x2 = 1 and x1 + x2 = 2: a positive sum of primal infeasibilities,
+    # infinite when presolve finds the conflict, as it does here
     A, b, c = _LPS["infeasible"][0]
-    _, _, _, infeas = _kernels.simplex_standard(A, b, c, 1e-9, 20000)
-    assert infeas == pytest.approx(1.0, abs=1e-12)
+    _, _, infeas = _standard(A, b, c)
+    assert infeas > 0.5
+
+
+def test_simplex_solve_does_not_depend_on_earlier_solves():
+    # the kernel keeps one HiGHS instance per thread; a solve must not depend
+    # on the models solved before it
+    lps = [_random_lp(seed) for seed in range(6)]
+    first = [_standard(*lp) for lp in lps]
+    for lp, (st, x, _) in zip(reversed(lps), reversed(first)):
+        st2, x2, _ = _standard(*lp)
+        assert st2 == st
+        if x is not None:
+            np.testing.assert_array_equal(x2, x)
 
 
 # ---------------------------------------------------------------------------
@@ -224,12 +244,19 @@ def _random_lp(seed):
     return A, A @ x0, c
 
 
+# linprog's status codes: 0 optimal, 2 infeasible, 3 unbounded
+_LINPROG = {"kOptimal": 0, "kInfeasible": 2, "kUnbounded": 3,
+            "kUnboundedOrInfeasible": 3}
+
+
 @pytest.mark.parametrize("seed", range(12))
 def test_simplex_matches_reference(seed):
+    # linprog builds its own HiGHS model from the same data, at HiGHS's default
+    # tolerances: this checks the model the kernel passes, not the solver
     A, b, c = _random_lp(seed)
-    st, x, obj, infeas = _kernels.simplex_standard(A, b, c, 1e-9, 5000)
-    st_ref, x_ref, obj_ref, infeas_ref = reference_kernels.simplex_standard(
-        A, b, c, 1e-9, 5000)
-    assert (st, infeas) == (st_ref, infeas_ref)
-    np.testing.assert_array_equal(x, x_ref)
-    assert obj == pytest.approx(obj_ref, rel=0, abs=1e-12)
+    st, x, _ = _standard(A, b, c)
+    ref = linprog(c, A_eq=A, b_eq=b, method="highs")
+    assert _LINPROG[st] == ref.status
+    if ref.status == 0:
+        assert c @ x == pytest.approx(ref.fun, rel=1e-9, abs=1e-9)
+        np.testing.assert_allclose(A @ x, b, rtol=0, atol=1e-9)

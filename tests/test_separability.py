@@ -12,6 +12,7 @@ from sepproj.errors import (
 from sepproj.separability import (
     _hard_margin_direction,
     bc_separable_bruteforce,
+    check_common_point_certificate,
     common_point,
     deep_common_point,
     kirchberger_reduce,
@@ -81,6 +82,33 @@ class TestLinearSeparability:
             P, Q = random_intersecting_pair(rng, 3, 8, 8)
             res = linear_separability(P, Q)
             assert not res.separable
+            res.validate(P, Q)
+
+
+class TestLPRegressions:
+    """Inputs on which the dense-tableau simplex that preceded HiGHS gave
+    wrong answers: a spurious positive slack on overlapping clouds, and LP
+    failures on uniformly rescaled separable pairs."""
+
+    @pytest.mark.parametrize("n, d", [(80, 8), (200, 10)])
+    def test_overlapping_gaussian_clouds_inseparable(self, n, d):
+        rng = np.random.default_rng(0)
+        P = rng.normal(size=(n, d))
+        Q = rng.normal(size=(n, d)) + 0.3
+        res = linear_separability(P, Q)
+        assert not res.separable
+        res.validate(P, Q)
+        check_common_point_certificate(P, Q, res.point, res.lam, res.mu)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_rescaled_planted_pairs_strictly_separable(self, seed):
+        # the planted pairs of the benchmark's certify workload, scaled by
+        # 10^k for k = -6..6
+        for k in range(-6, 7):
+            P, Q, _ = planted_separable_pair(np.random.default_rng(seed), 3, 15, 15, 0.2)
+            P, Q = P * 10.0 ** k, Q * 10.0 ** k
+            res = linear_separability(P, Q)
+            assert res.separable and res.strict, k
             res.validate(P, Q)
 
 

@@ -11,7 +11,7 @@ from sepproj.errors import (
     NotSeparableInputError,
     TooFewPointsError,
 )
-from sepproj.geometry import OrthoBasis, project_points
+from sepproj.geometry import OrthoBasis, flat_coordinates, project_points
 from sepproj.separability import linear_separability, one_infty_separable, weak_separator
 from sepproj.synthesis import (
     ImpossibleOutcome,
@@ -138,7 +138,6 @@ class TestPerturbation:
             basis2 = OrthoBasis(w2[None, :])
             # separability judged inside the image flat (weak separability in
             # the ambient space is vacuous for data living in a hyperplane)
-            from sepproj.geometry import flat_coordinates
             Pc = flat_coordinates(P, basis2)
             Qc = flat_coordinates(Q, basis2)
             assert weak_separator(Pc, Qc) is None
@@ -148,18 +147,34 @@ class TestPerturbation:
             coords = np.vstack([Pc, Qc])
             assert general_position_violations(coords, ps.d + 1) == []
 
-    # w_new and info as recorded before the flat coordinates had one helper,
-    # with the attempts counted since rejected deltas skip the halvings bound
-    # to fail; both must be reproduced bit for bit
+    @pytest.mark.parametrize("npts, d, seed", [(12, 4, 36), (20, 5, 4)])
+    def test_nearly_touching_sides_decided(self, npts, d, seed):
+        # a weak-separation check inside the perturbation meets sides that
+        # only just touch; posed as a pure feasibility LP, HiGHS ended it with
+        # status kUnknown here
+        ps, planes = gen_random_all_labels(npts, d, 2, 0.15, seed)
+        out = construct_eliminating_projection(SynthesisProblem(ps, 0, {1: planes[1]}))
+        P, Q = ps.side(0, -1), ps.side(0, +1)
+        w2, _ = perturb_general_position(P, Q, out.basis.vectors[0])
+        basis2 = OrthoBasis(w2[None, :])
+        Pc, Qc = flat_coordinates(P, basis2), flat_coordinates(Q, basis2)
+        assert weak_separator(Pc, Qc) is None
+        res = linear_separability(Pc, Qc, strict=False)
+        assert not res.separable
+        res.validate(Pc, Qc)
+
+    # w_new and info as recorded once the LPs ran on HiGHS, whose optimal
+    # vertices choose the eliminating direction and the selected supports;
+    # both must be reproduced bit for bit
     _GOLDEN = {
-        0: ([-0.7123236092087666, 0.5609003020240243, 0.4218837837048906],
+        0: ([-0.7123236092087666, 0.5609003020240241, 0.42188378370489077],
             {"selected_p": [0, 1], "selected_q": [0, 1], "anchor": (1, 0),
-             "delta": 3.814697265625e-06, "distance": 8.345239868740897e-07,
+             "delta": 3.814697265625e-06, "distance": 8.345239868089172e-07,
              "attempts": 3}),
-        1: ([-0.3913359652984921, 0.9181858095696346, 0.061570945817422916],
-            {"selected_p": [0], "selected_q": [0, 1, 2], "anchor": (1, 2),
-             "delta": 9.5367431640625e-07, "distance": 5.38741873066645e-07,
-             "attempts": 4}),
+        1: ([0.9568940550467401, -0.2849612212908625, -0.05613260885284672],
+            {"selected_p": [0, 1], "selected_q": [0, 1], "anchor": (0, 0),
+             "delta": 1.9073486328125e-06, "distance": 5.468984484245316e-07,
+             "attempts": 3}),
     }
 
     @pytest.mark.parametrize("seed", sorted(_GOLDEN))
