@@ -17,6 +17,7 @@ as "the kept properties remain strictly separable after projection".
 """
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable
@@ -35,6 +36,8 @@ from .geometry import (
 )
 from .separability import max_slack_separator
 
+_log = logging.getLogger(__name__)
+
 
 @dataclass(frozen=True)
 class OverlapSpec:
@@ -42,8 +45,6 @@ class OverlapSpec:
 
     kind: str = "svm"               # "interval" or "svm"
     lam: float = 1.0                # svm regularization weight, > 0
-    inner_tol: float = 1e-12        # KKT violation target for the svm dual
-    inner_max_iter: int = 200000
     n_directions: int = 4096        # interval kind: sampled directions
     refine_iters: int = 60          # interval kind: local refinement rounds
 
@@ -95,7 +96,7 @@ def _fix_equality(alpha, y, C):
     return alpha
 
 
-def _solve_svm_gram(K, y, lam, spec: OverlapSpec, alpha0=None):
+def _solve_svm_gram(K, y, lam, alpha0=None):
     """Exact dual solve (SMO to tiny KKT violation + equality-system polish),
     entirely in Gram-matrix space.  Returns (alpha, u_vals, b, value) where
     u_vals[i] = v . x_i for the primal minimizer v."""
@@ -105,8 +106,7 @@ def _solve_svm_gram(K, y, lam, spec: OverlapSpec, alpha0=None):
         alpha = _fix_equality(alpha0.copy(), y, C)
     else:
         alpha = np.zeros(n)
-    _kernels.smo_box_equality(K, y, C, lam, alpha, spec.inner_tol,
-                              spec.inner_max_iter)
+    _kernels.smo_box_equality(K, y, C, lam, alpha, INNER_TOL, INNER_MAX_ITER)
     alpha = _kkt_polish(K, y, lam, alpha, C)
     coef = alpha * y
     u_vals = K @ coef / (2.0 * lam)
@@ -255,7 +255,7 @@ def min_overlap(ps: LabeledPointSet, spec: OverlapSpec,
     y = ps.labels[hidden].astype(float)
     if spec.kind == "svm":
         K = np.ascontiguousarray(X @ X.T)
-        alpha, u_vals, b, value = _solve_svm_gram(K, y, spec.lam, spec, _warm)
+        alpha, u_vals, b, value = _solve_svm_gram(K, y, spec.lam, _warm)
         u = X.T @ (alpha * y) / (2.0 * spec.lam)
         return Z.vectors.T @ u, float(b), value, alpha
     u, value = _interval_minimum(X[y < 0], X[y > 0], spec)
@@ -282,13 +282,20 @@ def f_value(ps: LabeledPointSet, w, spec: OverlapSpec,
 class _SvmClimbEngine:
     """Per-instance cache making one svm overlap evaluation O(n^2 + n d):
     the reduced Gram matrix for any direction w is a rank-one downdate of the
-    keep-normal-reduced Gram matrix."""
+    keep-normal-reduced Gram matrix.
+
+    ``ceiling`` bounds every value from above: v = 0 is admissible for every
+    w, and at v = 0 the best offset b = +-1 leaves a mean hinge loss of
+    2 min(n+, n-) / n, where n+ and n- are the hidden property's side sizes.
+    A direction reaching it is a global maximum."""
 
     def __init__(self, ps: LabeledPointSet, spec: OverlapSpec, keep_normals,
                  hidden: int):
-        self.spec = spec
         self.lam = spec.lam
         self.y = ps.labels[hidden].astype(float)
+        n_pos = int((self.y > 0).sum())
+        self.ceiling = 2.0 * min(n_pos, ps.n - n_pos) / ps.n
+        self.evaluations = 0
         self.P = ps.points
         if keep_normals is not None and len(keep_normals):
             self.N = orthonormalize(np.asarray(keep_normals, dtype=float)).vectors
@@ -303,7 +310,8 @@ class _SvmClimbEngine:
         nz = np.linalg.norm(z)
         t = (self.PN @ w) / nz
         K = self.KN - np.outer(t, t)
-        alpha, _, _, value = _solve_svm_gram(K, self.y, self.lam, self.spec, warm)
+        alpha, _, _, value = _solve_svm_gram(K, self.y, self.lam, warm)
+        self.evaluations += 1
         return value, alpha
 
     def gradient(self, w, alpha, E):
@@ -333,11 +341,15 @@ class _IntervalClimbEngine:
     orthonormalized once, and the points are given coordinates in their
     complement C, split by side.  An evaluation at w then needs only an
     orthonormal basis H of the complement of C w inside that space, from one
-    Householder reflector; the score is minimized over the rows of H C."""
+    Householder reflector; the score is minimized over the rows of H C.
+    The score has no upper bound independent of w, so ``ceiling`` is None."""
+
+    ceiling = None
 
     def __init__(self, ps: LabeledPointSet, spec: OverlapSpec, keep_normals,
                  hidden: int):
         self.spec = spec
+        self.evaluations = 0
         if keep_normals is not None and len(keep_normals):
             N = orthonormalize(np.asarray(keep_normals, dtype=float))
             self.C = complement_basis(N).vectors
@@ -358,6 +370,7 @@ class _IntervalClimbEngine:
         return (u @ H) @ self.C, float(value)
 
     def value(self, w, warm=None):
+        self.evaluations += 1
         return self.minimum(w)[1], None
 
     def gradient(self, w, warm, E, h=1e-5):
@@ -469,6 +482,9 @@ PENALTY_WEIGHT = 1.0
 STEP0 = 0.25              # first and largest climb step, along the tangent
 STEP_MIN = 1e-8           # a climb stops once its step falls below this
 MAX_ITER = 2000           # climb iterations per start
+ACCEPT_MARGIN = 1e-15     # a step must raise the value by more than this
+INNER_TOL = 1e-12         # KKT violation target for the svm dual
+INNER_MAX_ITER = 200000   # SMO iteration budget per svm evaluation
 CLUSTER_ANGLE = 0.2       # radians; finals this close (w ~ -w) share a cluster
 MAX_START_TRIES = 200000  # sampled start directions before giving up
 
@@ -487,7 +503,10 @@ def _compass(E: np.ndarray) -> list[np.ndarray]:
 
 def _climb(ps, spec, w0, keep_normals, oracle: SlackOracle | None, hidden):
     """Ascent with retraction to the unit sphere, from step ``STEP0`` until
-    ``MAX_ITER`` iterations or a step below ``STEP_MIN``.
+    ``MAX_ITER`` iterations, a step below ``STEP_MIN``, or, for the svm
+    score, a best feasible value within ``ACCEPT_MARGIN`` of the engine's
+    ceiling 2 min(n+, n-) / n.  No value exceeds that ceiling, so past it a
+    step could be accepted only on inner-solver noise.
 
     The gradient step is tried first (greedy); when rejected, an eight-point
     tangent compass is probed in order of decreasing value.  The oracle's
@@ -522,10 +541,10 @@ def _climb(ps, spec, w0, keep_normals, oracle: SlackOracle | None, hidden):
         """None when cand cannot win (the penalty only lowers its value),
         else whether it was accepted."""
         nonlocal w, val, fval, warm, best_feasible
-        if cf <= val + 1e-15:
+        if cf <= val + ACCEPT_MARGIN:
             return None
         cv, cs = penalized(cand, cf)
-        if cv > val + 1e-15:
+        if cv > val + ACCEPT_MARGIN:
             w, val, fval, warm = cand, cv, cf, cwarm
             if cs >= 0.0 and (best_feasible is None or fval > best_feasible[1]):
                 best_feasible = (w, fval)
@@ -533,11 +552,19 @@ def _climb(ps, spec, w0, keep_normals, oracle: SlackOracle | None, hidden):
             return True
         return False
 
-    for _ in range(MAX_ITER):
+    ceiling = engine.ceiling
+    reason = "max_iter"
+    for iterations in range(MAX_ITER):
+        if (ceiling is not None and best_feasible is not None
+                and best_feasible[1] >= ceiling - ACCEPT_MARGIN):
+            reason = "ceiling"
+            break
         if step <= STEP_MIN:
+            reason = "step"
             break
         E = _tangent_basis(w, keep_normals)
         if E.shape[0] == 0:
+            reason = "no tangent"
             break
         gt = E.T @ (E @ engine.gradient(w, warm, E))
         gn = np.linalg.norm(gt)
@@ -551,8 +578,13 @@ def _climb(ps, spec, w0, keep_normals, oracle: SlackOracle | None, hidden):
                     moved = bool(outcome)
                     break
         step = min(step * 1.7, STEP0) if moved else step * 0.5
+    else:
+        iterations = MAX_ITER
     if best_feasible is not None:
         w, fval = best_feasible
+    _log.debug("%s climb stopped (%s) after %d iterations, %d evaluations, "
+               "value %.17g", spec.kind, reason, iterations, engine.evaluations,
+               fval)
     return w, fval, trace
 
 
@@ -573,6 +605,13 @@ def maximize_overlap(ps: LabeledPointSet, spec: OverlapSpec,
     and climbed with monotone ascent.  At most ``MAX_START_TRIES`` directions
     are sampled.  Final vectors are clustered by angular distance, within
     ``CLUSTER_ANGLE``, with w and -w identified.
+
+    No svm value exceeds 2 min(n+, n-) / n, the score at v = 0 with the best
+    offset (n+ and n- are the hidden property's side sizes), so an svm climb
+    stops once its best feasible value is within ``ACCEPT_MARGIN`` of that
+    bound: it has found a global maximum.  Each climb logs its stop reason,
+    iterations, evaluations and final value at DEBUG under
+    ``sepproj.overlap``.
     """
     if starts < 1:
         raise BadParamsError("needs at least one start")

@@ -1,14 +1,19 @@
 import hashlib
+import logging
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.spatial import ConvexHull, QhullError
 
 from sepproj.data import LabeledPointSet
 from sepproj.errors import BadParamsError, EmptySubspaceError
 from sepproj.geometry import OrthoBasis, orthonormalize, project_points
 from sepproj.overlap import (
+    ACCEPT_MARGIN,
     OverlapSpec,
+    _SvmClimbEngine,
     f_value,
     g_interval,
     g_svm,
@@ -557,8 +562,10 @@ class TestIntervalDegenerate:
 
 
 # ---------------------------------------------------------------------------
-# golden svm climbs: every figure was recorded before the climb had a single
-# accept rule, and must be reproduced bit for bit
+# golden svm climbs: every figure must be reproduced bit for bit.  "cube-oracle"
+# was recorded before the climb had a single accept rule; "cube-free" and
+# "planted-normals" reach the ceiling 2 min(n+, n-) / n and were recorded when
+# the climb first stopped there
 
 # name: (spec lam, starts, seed); "cube" cases run on gen_cube_two_maxima(0.2)
 _SVM_CASES = {
@@ -570,15 +577,15 @@ _SVM_CASES = {
 # value, best, (len(trace), sha256 of the trace's float64 bytes), finals
 _SVM_GOLDEN = {
     "cube-free": (
-        0.8888888888899982,
-        [0.003913676832712832, -0.12325608555351629, -0.9923671802854392],
-        (14, "fbb4ffde679df649026fff9b5ce5c46f88e105498b1793a6daf5e0f8cc3db82d"),
-        [([3.0080806142424993e-05, 0.1528368340490852, 0.9882514362514214],
-          0.8888888888892537),
-         ([0.023285056774700615, 0.15051470759784147, 0.9883335109808506],
-          0.8888888888889789),
-         ([0.003913676832712832, -0.12325608555351629, -0.9923671802854392],
-          0.8888888888899982)]),
+        0.8888888888888984,
+        [0.20075433602552475, 0.17226934346667275, 0.9643759484083542],
+        (5, "ac4d61dc4fd1e875c81f491ef1d3f9c5b8df8730f02fec43bda06ca6f97fd675"),
+        [([0.20075433602552475, 0.17226934346667275, 0.9643759484083542],
+          0.8888888888888984),
+         ([0.1913689356176097, 0.14874139217560717, 0.9701824203386936],
+          0.8888888888888944),
+         ([-0.15285789958564028, -0.1186460279343343, -0.981100189883618],
+          0.8888888888888888)]),
     "cube-oracle": (
         0.8830532152922619,
         [0.06546615011799996, 0.7019435587932942, 0.7092174726114218],
@@ -588,14 +595,14 @@ _SVM_GOLDEN = {
          ([0.06546615011799996, 0.7019435587932942, 0.7092174726114218],
           0.8830532152922619)]),
     "planted-normals": (
-        0.7500000000257893,
-        [0.153680521114894, -0.8486226526657281, 0.05949215804602268,
-         0.5026754160921983],
-        (13, "e54436d645519d1e8ccff07396c9d8eb0a34d780a6fb9c735b4b612acd3459fc"),
-        [([-0.2616485787467064, 0.8335112201153706, 0.021302009340074722,
-           -0.48615356789772746], 0.75000000000011),
-         ([0.153680521114894, -0.8486226526657281, 0.05949215804602268,
-           0.5026754160921983], 0.7500000000257893)]),
+        0.7500000000000273,
+        [0.394792516557437, -0.777090917953519, -0.12903338269907325,
+         0.47288366460857734],
+        (5, "0f7561e34c0585c31edf753d0647bcb73189eda2c1741bd2560d883830d65f29"),
+        [([-0.27410834448381227, 0.927295555618756, 0.0064800655389283856,
+           -0.2548442205831981], 0.7500000000000054),
+         ([0.394792516557437, -0.777090917953519, -0.12903338269907325,
+           0.47288366460857734], 0.7500000000000273)]),
 }
 
 
@@ -620,3 +627,81 @@ def test_svm_climb_is_bit_identical(name):
     digest = hashlib.sha256(np.asarray(res.trace, dtype=float).tobytes())
     assert digest.hexdigest() == trace_sha
     assert [(w.tolist(), v) for w, v in res.finals] == finals
+
+
+# ---------------------------------------------------------------------------
+# the svm ceiling: v = 0 is admissible for every w, so no direction scores
+# above min_b g_svm(ps, 0, b, lam) = 2 min(n+, n-) / n
+
+
+@st.composite
+def _svm_sets(draw):
+    d = draw(st.integers(2, 4))
+    n = draw(st.integers(4, 12))
+    coords = draw(st.lists(st.floats(-3, 3, allow_subnormal=False),
+                           min_size=n * d, max_size=n * d))
+    labels = draw(st.lists(st.sampled_from([-1, 1]), min_size=n, max_size=n)
+                  .filter(lambda ls: len(set(ls)) == 2))
+    k = draw(st.integers(0, d - 2))
+    lam = draw(st.sampled_from([0.1, 1.0, 10.0]))
+    seed = draw(st.integers(0, 2**32 - 1))
+    ps = LabeledPointSet(np.array(coords).reshape(n, d), [labels])
+    return ps, k, lam, seed
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(_svm_sets())
+def test_svm_values_never_exceed_the_ceiling(case):
+    ps, k, lam, seed = case
+    rng = np.random.default_rng(seed)
+    normals = None
+    if k:
+        normals = np.array([_unit(rng.normal(size=ps.d)) for _ in range(k)])
+    spec = OverlapSpec(kind="svm", lam=lam)
+    engine = _SvmClimbEngine(ps, spec, normals, 0)
+    zero = np.zeros(ps.d)
+    assert engine.ceiling == min(g_svm(ps, zero, -1.0, lam),
+                                 g_svm(ps, zero, 1.0, lam))
+    for _ in range(3):
+        w = _unit(rng.normal(size=ps.d))
+        assert f_value(ps, w, spec, normals)[0] <= engine.ceiling + 1e-9
+
+
+def _ceiling_case():
+    lam, starts, seed = _SVM_CASES["planted-normals"]
+    ps, N = _planted_instance(seed, 16, 4, 2)
+    return ps, N[1:], OverlapSpec(kind="svm", lam=lam), starts, seed
+
+
+def test_svm_climb_stops_at_its_ceiling(monkeypatch):
+    # both starts reach the ceiling within a few evaluations; without the
+    # stop they go on to 584 evaluations between them, halving a step that
+    # can no longer win
+    calls = 0
+    value = _SvmClimbEngine.value
+
+    def counted(self, w, warm=None):
+        nonlocal calls
+        calls += 1
+        return value(self, w, warm)
+
+    monkeypatch.setattr(_SvmClimbEngine, "value", counted)
+    ps, normals, spec, starts, seed = _ceiling_case()
+    res = maximize_overlap(ps, spec, keep_normals=normals, starts=starts,
+                           seed=seed)
+    ceiling = _SvmClimbEngine(ps, spec, normals, 0).ceiling
+    assert ceiling == 0.75
+    assert res.value >= ceiling - ACCEPT_MARGIN
+    assert calls <= 10 * starts
+
+
+def test_ceiling_stop_is_logged(caplog):
+    ps, normals, spec, starts, seed = _ceiling_case()
+    with caplog.at_level(logging.DEBUG, logger="sepproj.overlap"):
+        maximize_overlap(ps, spec, keep_normals=normals, starts=starts,
+                         seed=seed)
+    records = [r for r in caplog.records if r.name == "sepproj.overlap"]
+    assert len(records) == starts
+    for record in records:
+        assert record.levelno == logging.DEBUG
+        assert "svm climb stopped (ceiling)" in record.getMessage()
