@@ -90,11 +90,6 @@ class AffineMap:
             )
         return P @ self.linear.T + self.shift
 
-    def compose(self, inner: "AffineMap") -> "AffineMap":
-        """Map equal to applying ``inner`` first, then this map."""
-        return AffineMap(self.linear @ inner.linear,
-                         self.linear @ inner.shift + self.shift)
-
 
 def orthonormalize(vs, tols: Tolerances = DEFAULT_TOLS) -> OrthoBasis:
     """Modified Gram-Schmidt with one re-orthogonalization pass.

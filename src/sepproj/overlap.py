@@ -18,7 +18,7 @@ as "the kept properties remain strictly separable after projection".
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
 
@@ -41,12 +41,11 @@ _log = logging.getLogger(__name__)
 
 @dataclass(frozen=True)
 class OverlapSpec:
-    """Overlap score selection plus inner-solver settings."""
+    """Overlap score selection.  Neither kind's minimum over directions is
+    sampled, so there are no accuracy settings."""
 
     kind: str = "svm"               # "interval" or "svm"
     lam: float = 1.0                # svm regularization weight, > 0
-    n_directions: int = 4096        # interval kind: sampled directions
-    refine_iters: int = 60          # interval kind: local refinement rounds
 
     def __post_init__(self):
         if self.kind not in ("interval", "svm"):
@@ -166,69 +165,42 @@ def _offset_from_dual(y, alpha, u_vals, C):
     return -0.5 * float(lo + hi)
 
 
-@lru_cache(maxsize=32)
-def _interval_directions(m: int, n_dir: int, seed: int = 0x5EED) -> np.ndarray:
-    """Deterministic grid of unit directions in R^m, shared read-only."""
-    if m == 1:
-        V = np.array([[1.0]])
-    elif m == 2:
-        ang = np.pi * np.arange(n_dir) / n_dir
-        V = np.column_stack([np.cos(ang), np.sin(ang)])
-    else:
-        rng = np.random.default_rng(seed)
-        V = rng.normal(size=(n_dir, m))
-        V = V / np.linalg.norm(V, axis=1, keepdims=True)
-    V.setflags(write=False)
-    return V
+def _min_support(A, B):
+    """(u, h): a unit u minimizing h = max over a in A, b in B of u.(a - b),
+    the support function of A - B, over the unit sphere.  That minimum is the
+    offset of the nearest facet of conv(A - B).  A flat hull (or one of too
+    few points) gives its normal and h = 0: the normal is orthogonal to every
+    difference of two points of A or of B, so the interval score is 0 there."""
+    from scipy.spatial import ConvexHull, QhullError
+    S = (A[:, None, :] - B[None, :, :]).reshape(-1, A.shape[1])
+    try:
+        eq = ConvexHull(S).equations
+    except QhullError:
+        return np.linalg.svd(S - S.mean(axis=0))[2][-1], 0.0
+    best = int(np.argmax(eq[:, -1]))
+    return eq[best, :-1], -float(eq[best, -1])
 
 
-def _interval_minimum(Xn, Xp, spec: OverlapSpec):
+def _interval_minimum(Xn, Xp):
     """Minimize the interval score over unit u in the reduced space, given
-    the two sides' reduced coordinates: the best of a direction grid, then
-    coordinate refinement.  Returns (u, value)."""
-    m = Xn.shape[1]
-    dirs = _interval_directions(m, spec.n_directions)
-    sn_all = Xn @ dirs.T
-    sp_all = Xp @ dirs.T
-    lo = np.maximum(sn_all.min(axis=0), sp_all.min(axis=0))
-    hi = np.minimum(sn_all.max(axis=0), sp_all.max(axis=0))
-    vals = np.maximum(0.0, hi - lo)
-    best = int(np.argmin(vals))
-    u = dirs[best]
-    value = float(vals[best])
-    # in one dimension every refined candidate (1 +- step)/|1 +- step| is
-    # exactly u = [1.0]; and no candidate can beat a value of 0
-    if m == 1 or value == 0.0:
-        return u, value
+    the two sides' reduced coordinates.  Returns (u, value), the value taken
+    at u.
 
-    def g_of(uvec):
-        sn = Xn @ uvec
-        sp = Xp @ uvec
-        return max(0.0, min(sn.max(), sp.max()) - max(sn.min(), sp.min()))
-
-    step = np.pi / spec.n_directions if m == 2 else 0.05
-    for _ in range(spec.refine_iters):
-        improved = False
-        for axis in range(m):
-            e = np.zeros(m)
-            e[axis] = 1.0
-            for sgn in (1.0, -1.0):
-                cand = u + sgn * step * e
-                nc = np.linalg.norm(cand)
-                if nc == 0:
-                    continue
-                cand /= nc
-                cv = g_of(cand)
-                if cv < value - 1e-15:
-                    u, value = cand, cv
-                    if value == 0.0:
-                        return u, value
-                    improved = True
-        if not improved:
-            step *= 0.5
-            if step < 1e-10:
-                break
-    return u, value
+    Along u the score is max(0, .) of the smallest of the support functions
+    of N - N, N - P, P - N and P - P, and P - N's is N - P's at -u, so the
+    minimum is the lowest nearest-facet offset of three hulls.  When N - P's
+    is <= 0 the sides are weakly separable and the score is 0.  In one
+    dimension the sphere is {+-1}, where the score is even."""
+    if Xn.shape[1] == 1:
+        u = np.array([1.0])
+    else:
+        u, h = _min_support(Xn, Xp)
+        if h > 0.0:
+            u = min((u, h), _min_support(Xn, Xn), _min_support(Xp, Xp),
+                    key=lambda t: t[1])[0]
+    sn = Xn @ u
+    sp = Xp @ u
+    return u, max(0.0, min(sn.max(), sp.max()) - max(sn.min(), sp.min()))
 
 
 def min_overlap(ps: LabeledPointSet, spec: OverlapSpec,
@@ -238,13 +210,12 @@ def min_overlap(ps: LabeledPointSet, spec: OverlapSpec,
     vectors.  Returns (v, b, value); b is 0.0 for the interval kind.
 
     The svm kind is convex and solved essentially exactly via its dual.  The
-    interval kind is nonconvex in the direction and is minimized by dense
-    direction sampling plus local refinement.  A reduced space of one
-    dimension holds only the directions +-u, so there the value is exact and
-    no refinement runs; a value of 0 is final too, as the score is never
-    negative.  With three or more reduced dimensions the sampled minimum can
-    overestimate: on 8 points in R^5 with one keep normal a climb reported
-    0.0644 where the exact overlap (of the difference sets' hulls) is 0.
+    interval kind is nonconvex in the direction; its minimum is exact, the
+    lowest nearest-facet offset of the hulls of the side differences
+    N - P, N - N and P - P, and is attained at the returned direction.  A
+    reduced space of one dimension needs no hull.  Otherwise the hulls come
+    from qhull, and ``scipy.spatial`` is imported at the first such
+    evaluation.
     """
     if constraints is None:
         constraints = OrthoBasis.empty(ps.d)
@@ -258,7 +229,7 @@ def min_overlap(ps: LabeledPointSet, spec: OverlapSpec,
         alpha, u_vals, b, value = _solve_svm_gram(K, y, spec.lam, _warm)
         u = X.T @ (alpha * y) / (2.0 * spec.lam)
         return Z.vectors.T @ u, float(b), value, alpha
-    u, value = _interval_minimum(X[y < 0], X[y > 0], spec)
+    u, value = _interval_minimum(X[y < 0], X[y > 0])
     return Z.vectors.T @ u, 0.0, float(value), None
 
 
@@ -348,7 +319,6 @@ class _IntervalClimbEngine:
 
     def __init__(self, ps: LabeledPointSet, spec: OverlapSpec, keep_normals,
                  hidden: int):
-        self.spec = spec
         self.evaluations = 0
         if keep_normals is not None and len(keep_normals):
             N = orthonormalize(np.asarray(keep_normals, dtype=float))
@@ -366,7 +336,7 @@ class _IntervalClimbEngine:
         H = _reflector_complement(self.C @ w, tol)
         if H.shape[0] == 0:
             raise EmptySubspaceError("constraints leave no direction for the score")
-        u, value = _interval_minimum(self.Xn @ H.T, self.Xp @ H.T, self.spec)
+        u, value = _interval_minimum(self.Xn @ H.T, self.Xp @ H.T)
         return (u @ H) @ self.C, float(value)
 
     def value(self, w, warm=None):
@@ -390,22 +360,10 @@ class _IntervalClimbEngine:
 
 
 @dataclass
-class MaximaCluster:
-    w: np.ndarray
-    value: float
-    members: list[tuple[np.ndarray, float]] = field(default_factory=list)
-
-    @property
-    def size(self) -> int:
-        return len(self.members)
-
-
-@dataclass
 class OptResult:
     best: np.ndarray
     value: float
     starts: int
-    maxima: list[MaximaCluster]
     trace: list[float]
     finals: list[tuple[np.ndarray, float]]
 
@@ -426,6 +384,22 @@ class SlackOracle:
 
     def __call__(self, w) -> bool:
         return self.slack(w) >= 0.0
+
+
+@lru_cache(maxsize=32)
+def _interval_directions(m: int, n_dir: int, seed: int = 0x5EED) -> np.ndarray:
+    """Deterministic grid of unit directions in R^m, shared read-only."""
+    if m == 1:
+        V = np.array([[1.0]])
+    elif m == 2:
+        ang = np.pi * np.arange(n_dir) / n_dir
+        V = np.column_stack([np.cos(ang), np.sin(ang)])
+    else:
+        rng = np.random.default_rng(seed)
+        V = rng.normal(size=(n_dir, m))
+        V = V / np.linalg.norm(V, axis=1, keepdims=True)
+    V.setflags(write=False)
+    return V
 
 
 def _interval_depth(A, B, n_dir: int = 1024) -> float:
@@ -485,7 +459,6 @@ MAX_ITER = 2000           # climb iterations per start
 ACCEPT_MARGIN = 1e-15     # a step must raise the value by more than this
 INNER_TOL = 1e-12         # KKT violation target for the svm dual
 INNER_MAX_ITER = 200000   # SMO iteration budget per svm evaluation
-CLUSTER_ANGLE = 0.2       # radians; finals this close (w ~ -w) share a cluster
 MAX_START_TRIES = 200000  # sampled start directions before giving up
 
 
@@ -588,11 +561,6 @@ def _climb(ps, spec, w0, keep_normals, oracle: SlackOracle | None, hidden):
     return w, fval, trace
 
 
-def _angular_distance(w1, w2) -> float:
-    c = abs(float(np.dot(w1, w2)))
-    return float(np.arccos(min(1.0, c)))
-
-
 def maximize_overlap(ps: LabeledPointSet, spec: OverlapSpec,
                      keep_normals=None, starts: int = 20, seed: int = 0,
                      feasible: SlackOracle | None = None,
@@ -603,8 +571,7 @@ def maximize_overlap(ps: LabeledPointSet, spec: OverlapSpec,
     master seed, order-independent), filtered by the feasibility oracle when
     given (it must be a ``SlackOracle``, whose slack the climb penalizes),
     and climbed with monotone ascent.  At most ``MAX_START_TRIES`` directions
-    are sampled.  Final vectors are clustered by angular distance, within
-    ``CLUSTER_ANGLE``, with w and -w identified.
+    are sampled.  The best final is the first of highest value.
 
     No svm value exceeds 2 min(n+, n-) / n, the score at v = 0 with the best
     offset (n+ and n- are the hidden property's side sizes), so an svm climb
@@ -651,13 +618,5 @@ def maximize_overlap(ps: LabeledPointSet, spec: OverlapSpec,
         finals.append((w, val))
         if best_trace is None or val > best_trace[0]:
             best_trace = (val, trace)
-    clusters: list[MaximaCluster] = []
-    for w, val in sorted(finals, key=lambda t: -t[1]):
-        for cl in clusters:
-            if _angular_distance(w, cl.w) <= CLUSTER_ANGLE:
-                cl.members.append((w, val))
-                break
-        else:
-            clusters.append(MaximaCluster(w, val, [(w, val)]))
-    best = clusters[0]
-    return OptResult(best.w, best.value, starts, clusters, best_trace[1], finals)
+    best_w, best_val = max(finals, key=lambda t: t[1])
+    return OptResult(best_w, best_val, starts, best_trace[1], finals)

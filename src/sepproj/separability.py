@@ -345,44 +345,6 @@ def common_point(P, Q, tols: Tolerances = DEFAULT_TOLS):
     return x, lam, mu
 
 
-def deep_common_point(P, Q, tols: Tolerances = DEFAULT_TOLS):
-    """Common hull point maximizing the smallest convex coefficient.
-
-    Returns (x, lam, mu, depth); depth > 0 means every input point carries
-    weight in the certificate (useful as a fully dense reduction input).
-    """
-    P, Q = _check_pair(P, Q)
-    n, d = P.shape
-    m = Q.shape[0]
-    # vars: lam (n), mu (m), t ; maximize t with lam_i >= t, mu_j >= t
-    A_eq = np.zeros((d + 2, n + m + 1))
-    A_eq[:d, :n] = P.T
-    A_eq[:d, n:n + m] = -Q.T
-    A_eq[d, :n] = 1.0
-    A_eq[d + 1, n:n + m] = 1.0
-    b_eq = np.zeros(d + 2)
-    b_eq[d] = 1.0
-    b_eq[d + 1] = 1.0
-    A_ub = np.zeros((n + m, n + m + 1))
-    A_ub[:, :n + m] = -np.eye(n + m)
-    A_ub[:, n + m] = 1.0
-    b_ub = np.zeros(n + m)
-    cost = np.zeros(n + m + 1)
-    cost[n + m] = -1.0
-    scale = max(1.0, float(np.abs(P).max()), float(np.abs(Q).max()))
-    res = solve_lp(cost, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq,
-                   feas_tol=tols.lp * scale)
-    if not res.ok:
-        raise ActuallySeparableError("convex hulls do not intersect")
-    lam = np.clip(res.x[:n], 0.0, None)
-    mu = np.clip(res.x[n:n + m], 0.0, None)
-    lam /= lam.sum()
-    mu /= mu.sum()
-    x = 0.5 * (lam @ P + mu @ Q)
-    check_common_point_certificate(P, Q, x, lam, mu, tol=max(tols.geom, 10 * tols.lp * scale))
-    return x, lam, mu, float(res.x[n + m])
-
-
 @dataclass
 class KirchbergerWitness:
     idx_p: np.ndarray

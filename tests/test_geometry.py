@@ -183,16 +183,6 @@ class TestAffineMap:
         P = np.zeros((3, 2))
         assert np.allclose(A(P), np.tile(t, (3, 1)))
 
-    def test_composition(self):
-        rng = np.random.default_rng(9)
-        for _ in range(20):
-            A = AffineMap(rng.normal(size=(3, 4)), rng.normal(size=3))
-            B = AffineMap(rng.normal(size=(2, 3)), rng.normal(size=2))
-            P = rng.normal(size=(6, 4))
-            lhs = B(A(P))
-            rhs = B.compose(A)(P)
-            assert np.abs(lhs - rhs).max() <= 1e-10
-
 
 class TestSubspaceHelpers:
     def test_complement(self):

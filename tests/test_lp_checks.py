@@ -66,15 +66,27 @@ def test_other_statuses_raise(monkeypatch, status):
 def test_binding_loads_at_first_lp_without_scipy_optimize():
     # importing scipy.optimize takes about half a second: sepproj loads only
     # the HiGHS extension, at its first LP, and a later scipy.optimize import
-    # reuses it
+    # reuses it.  scipy.spatial (qhull) takes as long, and loads only at the
+    # first interval score over two or more directions
     code = (
         "import sys\n"
+        "import numpy as np\n"
+        "import sepproj\n"
+        "from sepproj.overlap import OverlapSpec, f_value\n"
+        "ps = sepproj.LabeledPointSet(np.array([[0.0, 0.0], [0.0, 3.0], [1.0, 1.0],\n"
+        "                                       [2.0, 2.0]]), [[-1, -1, 1, 1]])\n"
+        "spec = OverlapSpec(kind='interval')\n"
+        "assert f_value(ps, np.array([1.0, 0.0]), spec)[0] == 1.0\n"
+        "assert 'scipy.spatial' not in sys.modules\n"
         "core = 'scipy.optimize._highspy._core'\n"
         "from sepproj.lp import solve_lp\n"
         "assert core not in sys.modules\n"
         "assert solve_lp([1.0], bounds=[(2.0, None)]).x[0] == 2.0\n"
         "loaded = sys.modules[core]\n"
         "assert 'scipy.optimize' not in sys.modules\n"
+        "f_value(sepproj.LabeledPointSet(np.eye(3), [[-1, 1, 1]]),\n"
+        "        np.array([0.0, 0.0, 1.0]), spec)\n"
+        "assert 'scipy.spatial' in sys.modules\n"
         "from scipy.optimize import linprog\n"
         "assert sys.modules[core] is loaded\n"
         "assert linprog([1.0], bounds=[(2.0, None)], method='highs').x[0] == 2.0\n"

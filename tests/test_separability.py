@@ -14,7 +14,6 @@ from sepproj.separability import (
     bc_separable_bruteforce,
     check_common_point_certificate,
     common_point,
-    deep_common_point,
     kirchberger_reduce,
     linear_separability,
     one_infty_separable,
@@ -22,7 +21,12 @@ from sepproj.separability import (
     point_in_hull,
 )
 
-from util import mutual_containment_pair, planted_separable_pair, random_intersecting_pair
+from util import (
+    deep_common_point,
+    mutual_containment_pair,
+    planted_separable_pair,
+    random_intersecting_pair,
+)
 
 
 class TestLinearSeparability:

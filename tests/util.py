@@ -1,7 +1,10 @@
 """Shared fixture generators for the test suite."""
 import numpy as np
 
-from sepproj.separability import point_in_hull
+from sepproj.config import DEFAULT_TOLS
+from sepproj.errors import ActuallySeparableError
+from sepproj.lp import solve_lp
+from sepproj.separability import check_common_point_certificate, point_in_hull
 
 
 def planted_separable_pair(rng, d, n, m, margin):
@@ -48,3 +51,41 @@ def mutual_containment_pair(rng, d, n, m):
     P = np.vstack([P, x0])
     Q = np.vstack([Q, np.zeros(d)])
     return P, Q
+
+
+def deep_common_point(P, Q, tols=DEFAULT_TOLS):
+    """Common hull point maximizing the smallest convex coefficient.
+
+    Returns (x, lam, mu, depth); depth > 0 means every input point carries
+    weight in the certificate (a fully dense reduction input).
+    """
+    P, Q = np.asarray(P, dtype=float), np.asarray(Q, dtype=float)
+    n, d = P.shape
+    m = Q.shape[0]
+    # vars: lam (n), mu (m), t ; maximize t with lam_i >= t, mu_j >= t
+    A_eq = np.zeros((d + 2, n + m + 1))
+    A_eq[:d, :n] = P.T
+    A_eq[:d, n:n + m] = -Q.T
+    A_eq[d, :n] = 1.0
+    A_eq[d + 1, n:n + m] = 1.0
+    b_eq = np.zeros(d + 2)
+    b_eq[d] = 1.0
+    b_eq[d + 1] = 1.0
+    A_ub = np.zeros((n + m, n + m + 1))
+    A_ub[:, :n + m] = -np.eye(n + m)
+    A_ub[:, n + m] = 1.0
+    cost = np.zeros(n + m + 1)
+    cost[n + m] = -1.0
+    scale = max(1.0, float(np.abs(P).max()), float(np.abs(Q).max()))
+    res = solve_lp(cost, A_ub=A_ub, b_ub=np.zeros(n + m), A_eq=A_eq, b_eq=b_eq,
+                   feas_tol=tols.lp * scale)
+    if not res.ok:
+        raise ActuallySeparableError("convex hulls do not intersect")
+    lam = np.clip(res.x[:n], 0.0, None)
+    mu = np.clip(res.x[n:n + m], 0.0, None)
+    lam /= lam.sum()
+    mu /= mu.sum()
+    x = 0.5 * (lam @ P + mu @ Q)
+    check_common_point_certificate(P, Q, x, lam, mu,
+                                   tol=max(tols.geom, 10 * tols.lp * scale))
+    return x, lam, mu, float(res.x[n + m])
