@@ -1,10 +1,8 @@
 """sepproj: certified linear-separability testing and separation-preserving
 projections that hide one binary property of a labeled point set."""
 
-from .config import DEFAULT_TOLS, Tolerances
 from .data import LabeledPointSet
 from .geometry import (
-    AffineMap,
     Flat,
     OrthoBasis,
     barycentric_coords,
@@ -29,16 +27,13 @@ from .separability import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AffineMap",
     "BCCover",
-    "DEFAULT_TOLS",
     "Flat",
     "Hyperplane",
     "KirchbergerWitness",
     "LabeledPointSet",
     "OrthoBasis",
     "SeparationResult",
-    "Tolerances",
     "barycentric_coords",
     "bc_separable_bruteforce",
     "common_point",

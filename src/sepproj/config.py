@@ -1,20 +1,24 @@
-"""Numeric tolerances shared across the package.
+"""The package's numeric tolerances: three fixed, absolute module constants.
 
-All geometry runs in float64.  The defaults below are deliberate: unit/orthogonality
-checks are tightest, rank decisions slightly looser, point-coincidence checks looser
-still, and LP feasibility sits at 1e-9 so that certificates survive re-validation.
+All geometry runs in float64.  The thresholds below decide the certified
+verdicts, and no function takes them as arguments:
+
+* ``RANK_TOL`` decides rank: a Gram-Schmidt remainder or singular value at
+  or below it (times max(1, the data's largest entry)) counts as zero, so it
+  settles whether a Kirchberger witness flat, a keep-normal set or a point
+  subset is degenerate.
+* ``GEOM_TOL`` decides coincidence: the residual allowed when two flats meet,
+  when a point is recombined from barycentric or common-point coefficients,
+  and the length below which an eliminating direction counts as zero.
+* ``LP_TOL`` decides separation: an LP optimum may violate a row by this much
+  (times the data scale), and a separation slack must exceed it to count as
+  strict.
+
+They are absolute, so a verdict can change when the input is rescaled far
+below unit scale; deriving them from the input's scale is ROADMAP item 1.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-
-@dataclass(frozen=True)
-class Tolerances:
-    orth: float = 1e-10     # unit norm / pairwise orthogonality
-    rank: float = 1e-9      # pivot / singular-value threshold for rank decisions
-    geom: float = 1e-8      # point coincidence and recombination residuals
-    lp: float = 1e-9        # LP feasibility and strictness threshold
-
-
-DEFAULT_TOLS = Tolerances()
+RANK_TOL = 1e-9     # pivot / singular-value threshold for rank decisions
+GEOM_TOL = 1e-8     # point coincidence and recombination residuals
+LP_TOL = 1e-9       # LP feasibility and strictness threshold

@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import DEFAULT_TOLS, Tolerances
+from .config import LP_TOL
 from .data import LabeledPointSet
 from .errors import BadParamsError, EpsilonTooLargeError, SamplingFailedError
 from .separability import Hyperplane, linear_separability, max_slack_separator
@@ -57,8 +57,7 @@ def _regular_simplex(m: int) -> np.ndarray:
     return V - V[0]
 
 
-def gen_missing_label(k: int, d: int, epsilon: float,
-                      tols: Tolerances = DEFAULT_TOLS) -> LabeledPointSet:
+def gen_missing_label(k: int, d: int, epsilon: float) -> LabeledPointSet:
     """Point set using 2^k - 1 label combinations on which no projection can
     hide the first property while the others stay separable.
 
@@ -103,8 +102,8 @@ def gen_missing_label(k: int, d: int, epsilon: float,
     if len(ps.label_tuples()) != 2 ** k - 1:
         raise BadParamsError("internal label census failed")
     for i in range(k):
-        slack, _, _ = max_slack_separator(ps.side(i, -1), ps.side(i, +1), tols)
-        if slack <= tols.lp:
+        slack, _, _ = max_slack_separator(ps.side(i, -1), ps.side(i, +1))
+        if slack <= LP_TOL:
             raise BadParamsError(f"property {i} failed its separability check")
     return ps
 
@@ -157,10 +156,14 @@ def gen_circle(n: int, epsilon: float):
     return P, Q
 
 
-def circle_eps_max(n: int, resolution: int = 60) -> float:
-    """Largest epsilon (up to bisection resolution) passing the wedge census."""
+CIRCLE_BISECTIONS = 60   # bisection steps of circle_eps_max
+
+
+def circle_eps_max(n: int) -> float:
+    """Largest epsilon passing the wedge census, to ``CIRCLE_BISECTIONS``
+    bisection steps."""
     lo, hi = 0.0, 1.0 - np.sin(np.pi / n)
-    for _ in range(resolution):
+    for _ in range(CIRCLE_BISECTIONS):
         mid = 0.5 * (lo + hi)
         try:
             gen_circle(n, mid)
@@ -182,8 +185,7 @@ def gen_circle_labeled(n: int, epsilon: float) -> LabeledPointSet:
 # cube fixture with two optimizer basins
 
 
-def gen_cube_two_maxima(epsilon: float,
-                        tols: Tolerances = DEFAULT_TOLS) -> LabeledPointSet:
+def gen_cube_two_maxima(epsilon: float) -> LabeledPointSet:
     """Nine points in R^3: the +-1 cube plus one vertex nudged inward, with two
     properties that differ on a single corner.  Both properties are strictly
     separable; the overlap landscape over admissible projections has two
@@ -202,8 +204,8 @@ def gen_cube_two_maxima(epsilon: float,
     a2[7] = -1  # the (1,1,1) corner flips on the second property
     ps = LabeledPointSet(pts, np.vstack([a1, a2]))
     for i in range(2):
-        slack, _, _ = max_slack_separator(ps.side(i, -1), ps.side(i, +1), tols)
-        if slack <= tols.lp:
+        slack, _, _ = max_slack_separator(ps.side(i, -1), ps.side(i, +1))
+        if slack <= LP_TOL:
             raise BadParamsError(f"property {i} failed its separability check")
     return ps
 
@@ -212,14 +214,17 @@ def gen_cube_two_maxima(epsilon: float,
 # seeded random fixtures with planted separators
 
 
-def gen_random_all_labels(n: int, d: int, k: int, margin: float, seed: int,
-                          max_plane_retries: int = 60,
-                          max_point_tries: int = 40000,
-                          tols: Tolerances = DEFAULT_TOLS):
+PLANE_RETRIES = 60       # plane sets gen_random_all_labels draws
+POINT_TRIES = 40000      # points it samples per plane set
+
+
+def gen_random_all_labels(n: int, d: int, k: int, margin: float, seed: int):
     """Random planted instance: k hyperplanes, at least one point in each of
     the 2^k sign cells, every point at distance >= margin from every plane.
 
     Returns (LabeledPointSet, {property: Hyperplane}).  Deterministic in seed.
+    Draws up to ``PLANE_RETRIES`` plane sets and samples up to
+    ``POINT_TRIES`` points for each before raising SamplingFailedError.
     Samples with d + 1 points on one hyperplane are redrawn.  Raises
     DegeneratePositionError when that check would exceed its cap of
     C(n, d) hyperplanes (200,000: 30 points in R^5 pass, 60 do not).
@@ -231,7 +236,7 @@ def gen_random_all_labels(n: int, d: int, k: int, margin: float, seed: int,
     if margin <= 0:
         raise BadParamsError("margin must be positive")
     rng = np.random.default_rng([seed, 0xA11A])
-    for _ in range(max_plane_retries):
+    for _ in range(PLANE_RETRIES):
         normals = rng.normal(size=(k, d))
         normals /= np.linalg.norm(normals, axis=1, keepdims=True)
         if k > 1:
@@ -242,7 +247,7 @@ def gen_random_all_labels(n: int, d: int, k: int, margin: float, seed: int,
         cells: dict[tuple, list] = {}
         accepted = 0
         tries = 0
-        while tries < max_point_tries and (len(cells) < 2 ** k or accepted < n):
+        while tries < POINT_TRIES and (len(cells) < 2 ** k or accepted < n):
             tries += 1
             x = rng.normal(size=d) * 1.6
             s = normals @ x - offsets
@@ -258,7 +263,7 @@ def gen_random_all_labels(n: int, d: int, k: int, margin: float, seed: int,
         pts = np.array((first + rest)[:n])
         from .synthesis import general_position_violations
 
-        if general_position_violations(pts, d + 1, tols):
+        if general_position_violations(pts, d + 1):
             continue
         svals = pts @ normals.T - offsets
         labels = np.sign(svals).T.astype(int)
@@ -267,7 +272,7 @@ def gen_random_all_labels(n: int, d: int, k: int, margin: float, seed: int,
             continue
         planes = {i: Hyperplane(normals[i], float(offsets[i])) for i in range(k)}
         for i in range(k):
-            res = linear_separability(ps.side(i, -1), ps.side(i, +1), tols=tols)
+            res = linear_separability(ps.side(i, -1), ps.side(i, +1))
             if not (res.separable and res.strict and res.margin >= margin - 1e-9):
                 break
         else:

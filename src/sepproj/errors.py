@@ -33,10 +33,6 @@ class BruteForceCapError(SepProjError):
     """Instance exceeds the configured brute-force size cap."""
 
 
-class NotAllLabelsError(SepProjError):
-    """The construction requires every label combination to be present."""
-
-
 class NotSeparableInputError(SepProjError):
     """A property that must be strictly separable on input is not."""
 

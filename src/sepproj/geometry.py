@@ -1,5 +1,5 @@
 """Dense affine/linear geometry primitives: orthonormal systems, projections,
-flats and their intersections, barycentric coordinates, affine maps.
+flats and their intersections, barycentric coordinates.
 
 Everything operates on float64 numpy arrays; points are row vectors.
 """
@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import DEFAULT_TOLS, Tolerances
+from .config import GEOM_TOL, RANK_TOL
 from .errors import (
     AllDegenerateError,
     DegenerateSimplexError,
@@ -69,29 +69,7 @@ class Flat:
         return self.base.shape[0]
 
 
-@dataclass(frozen=True)
-class AffineMap:
-    """x -> linear @ x + shift."""
-
-    linear: np.ndarray  # (d_out, d_in)
-    shift: np.ndarray   # (d_out,)
-
-    def __post_init__(self):
-        object.__setattr__(self, "linear", np.asarray(self.linear, dtype=float))
-        object.__setattr__(self, "shift", np.asarray(self.shift, dtype=float))
-        if self.linear.shape[0] != self.shift.shape[0]:
-            raise DimensionMismatchError("affine map shape mismatch")
-
-    def __call__(self, P) -> np.ndarray:
-        P = as_points(P)
-        if P.shape[1] != self.linear.shape[1]:
-            raise DimensionMismatchError(
-                f"map expects dimension {self.linear.shape[1]}, got {P.shape[1]}"
-            )
-        return P @ self.linear.T + self.shift
-
-
-def orthonormalize(vs, tols: Tolerances = DEFAULT_TOLS) -> OrthoBasis:
+def orthonormalize(vs) -> OrthoBasis:
     """Modified Gram-Schmidt with one re-orthogonalization pass.
 
     Linearly dependent (or zero) inputs are dropped.  Raises AllDegenerateError
@@ -109,20 +87,20 @@ def orthonormalize(vs, tols: Tolerances = DEFAULT_TOLS) -> OrthoBasis:
         for u in out:  # second pass for numerical orthogonality
             v -= (u @ v) * u
         n = np.linalg.norm(v)
-        if n > tols.rank * scale:
+        if n > RANK_TOL * scale:
             out.append(v / n)
     if not out:
         raise AllDegenerateError("all input vectors are numerically dependent or zero")
     return OrthoBasis(np.array(out))
 
 
-def complement_basis(W: OrthoBasis, tols: Tolerances = DEFAULT_TOLS) -> OrthoBasis:
+def complement_basis(W: OrthoBasis) -> OrthoBasis:
     """Orthonormal basis of the orthogonal complement of span(W) in R^d."""
     d = W.dim
     if W.count == 0:
         return OrthoBasis(np.eye(d))
     M = np.vstack([W.vectors, np.eye(d)])
-    Q = orthonormalize(M, tols).vectors
+    Q = orthonormalize(M).vectors
     return OrthoBasis(Q[W.count:])
 
 
@@ -143,13 +121,13 @@ def project_points(P, W: OrthoBasis) -> np.ndarray:
     return P - (P @ V.T) @ V
 
 
-def flat_coordinates(P, W: OrthoBasis, tols: Tolerances = DEFAULT_TOLS) -> np.ndarray:
+def flat_coordinates(P, W: OrthoBasis) -> np.ndarray:
     """Coordinates of the points after projecting along W, inside the image
     flat: against an orthonormal basis of the orthogonal complement of W."""
-    return project_points(P, W) @ complement_basis(W, tols).vectors.T
+    return project_points(P, W) @ complement_basis(W).vectors.T
 
 
-def intersect_flats(F1: Flat, F2: Flat, tols: Tolerances = DEFAULT_TOLS):
+def intersect_flats(F1: Flat, F2: Flat):
     """Intersection of two flats: a point (ndarray), a Flat, or None if empty.
 
     Solves base1 + D1 s = base2 + D2 t; rank decisions use singular values
@@ -169,12 +147,12 @@ def intersect_flats(F1: Flat, F2: Flat, tols: Tolerances = DEFAULT_TOLS):
     rhs = F2.base - F1.base
     scale = max(1.0, float(np.linalg.norm(rhs)), 1.0)
     if m1 + m2 == 0:
-        return F1.base.copy() if np.linalg.norm(rhs) <= tols.geom * scale else None
+        return F1.base.copy() if np.linalg.norm(rhs) <= GEOM_TOL * scale else None
     U, s, Vt = np.linalg.svd(M, full_matrices=True)
-    rank = int(np.sum(s > tols.rank * max(1.0, s[0] if s.size else 1.0)))
+    rank = int(np.sum(s > RANK_TOL * max(1.0, s[0] if s.size else 1.0)))
     # consistency: rhs must lie in the column space
     resid = rhs - U[:, :rank] @ (U[:, :rank].T @ rhs)
-    if np.linalg.norm(resid) > tols.geom * scale:
+    if np.linalg.norm(resid) > GEOM_TOL * scale:
         return None
     sol = Vt[:rank].T @ ((U[:, :rank].T @ rhs) / s[:rank])
     x = F1.base + (D1.T @ sol[:m1] if m1 else 0.0)
@@ -184,13 +162,13 @@ def intersect_flats(F1: Flat, F2: Flat, tols: Tolerances = DEFAULT_TOLS):
     N = Vt[rank:].T  # (m1+m2, null_dim)
     dirs = (D1.T @ N[:m1]).T if m1 else np.zeros((null_dim, d))
     try:
-        B = orthonormalize(dirs, tols)
+        B = orthonormalize(dirs)
     except AllDegenerateError:
         return x  # null space moves only the (s, t) parametrization
     return Flat(x, B)
 
 
-def barycentric_coords(x, S, tols: Tolerances = DEFAULT_TOLS) -> np.ndarray:
+def barycentric_coords(x, S) -> np.ndarray:
     """Coefficients c (summing to 1) with sum_i c_i S_i = x.
 
     ``S`` holds m affinely independent points spanning a flat that contains x;
@@ -205,18 +183,18 @@ def barycentric_coords(x, S, tols: Tolerances = DEFAULT_TOLS) -> np.ndarray:
     rhs = np.concatenate([x, [1.0]])
     U, s, Vt = np.linalg.svd(A, full_matrices=False)
     scale = max(1.0, float(np.abs(S).max()))
-    if s[-1] <= tols.rank * scale:
+    if s[-1] <= RANK_TOL * scale:
         raise DegenerateSimplexError("reference points are affinely dependent")
     c = Vt.T @ ((U.T @ rhs) / s)
     resid = np.linalg.norm(A @ c - rhs)
-    if resid > tols.geom * scale:
+    if resid > GEOM_TOL * scale:
         raise DegenerateSimplexError(
             f"point lies off the simplex flat (residual {resid:.3e})"
         )
     return c
 
 
-def affine_rank(P, tols: Tolerances = DEFAULT_TOLS) -> int:
+def affine_rank(P) -> int:
     """Dimension of the affine hull of the rows of P."""
     P = as_points(P)
     if P.shape[0] <= 1:
@@ -224,11 +202,10 @@ def affine_rank(P, tols: Tolerances = DEFAULT_TOLS) -> int:
     D = P[1:] - P[0]
     s = np.linalg.svd(D, compute_uv=False)
     scale = max(1.0, float(s[0]) if s.size else 1.0)
-    return int(np.sum(s > tols.rank * scale))
+    return int(np.sum(s > RANK_TOL * scale))
 
 
-def subspace_intersection(B1: OrthoBasis, B2: OrthoBasis,
-                          tols: Tolerances = DEFAULT_TOLS) -> OrthoBasis:
+def subspace_intersection(B1: OrthoBasis, B2: OrthoBasis) -> OrthoBasis:
     """Orthonormal basis of span(B1) ∩ span(B2)."""
     if B1.dim != B2.dim:
         raise DimensionMismatchError("bases live in different ambient spaces")
@@ -237,11 +214,11 @@ def subspace_intersection(B1: OrthoBasis, B2: OrthoBasis,
     # x = B1' y ; require x in span(B2): (I - B2'B2) B1' y = 0
     M = B1.vectors.T - B2.vectors.T @ (B2.vectors @ B1.vectors.T)
     U, s, Vt = np.linalg.svd(M, full_matrices=True)
-    null = [Vt[i] for i in range(Vt.shape[0]) if i >= len(s) or s[i] <= tols.rank]
+    null = [Vt[i] for i in range(Vt.shape[0]) if i >= len(s) or s[i] <= RANK_TOL]
     if not null:
         return OrthoBasis.empty(B1.dim)
     X = np.array(null) @ B1.vectors
     try:
-        return orthonormalize(X, tols)
+        return orthonormalize(X)
     except AllDegenerateError:
         return OrthoBasis.empty(B1.dim)

@@ -25,7 +25,7 @@ from typing import Callable
 import numpy as np
 
 from . import _kernels
-from .config import DEFAULT_TOLS, Tolerances
+from .config import LP_TOL, RANK_TOL
 from .data import LabeledPointSet
 from .errors import BadParamsError, EmptySubspaceError
 from .geometry import (
@@ -204,8 +204,7 @@ def _interval_minimum(Xn, Xp):
 
 
 def min_overlap(ps: LabeledPointSet, spec: OverlapSpec,
-                constraints: OrthoBasis | None = None, hidden: int = 0,
-                _warm: np.ndarray | None = None):
+                constraints: OrthoBasis | None = None, hidden: int = 0):
     """Minimize the overlap score over directions orthogonal to the constraint
     vectors.  Returns (v, b, value); b is 0.0 for the interval kind.
 
@@ -226,7 +225,7 @@ def min_overlap(ps: LabeledPointSet, spec: OverlapSpec,
     y = ps.labels[hidden].astype(float)
     if spec.kind == "svm":
         K = np.ascontiguousarray(X @ X.T)
-        alpha, u_vals, b, value = _solve_svm_gram(K, y, spec.lam, _warm)
+        alpha, u_vals, b, value = _solve_svm_gram(K, y, spec.lam)
         u = X.T @ (alpha * y) / (2.0 * spec.lam)
         return Z.vectors.T @ u, float(b), value, alpha
     u, value = _interval_minimum(X[y < 0], X[y > 0])
@@ -234,8 +233,7 @@ def min_overlap(ps: LabeledPointSet, spec: OverlapSpec,
 
 
 def f_value(ps: LabeledPointSet, w, spec: OverlapSpec,
-            keep_normals: np.ndarray | None = None, hidden: int = 0,
-            _warm: np.ndarray | None = None):
+            keep_normals: np.ndarray | None = None, hidden: int = 0):
     """Overlap of the hidden property after projecting along unit w: the score
     minimum over directions orthogonal to w (and to any fixed keep normals).
     The data itself is not re-projected; the constraint substitutes for it.
@@ -246,7 +244,7 @@ def f_value(ps: LabeledPointSet, w, spec: OverlapSpec,
         v, value = _IntervalClimbEngine(ps, spec, keep_normals, hidden).minimum(w)
         return value, (v, 0.0, None)
     v, b, value, alpha = min_overlap(ps, spec, _with_normals(w, keep_normals),
-                                     hidden, _warm=_warm)
+                                     hidden)
     return value, (v, b, alpha)
 
 
@@ -332,7 +330,7 @@ class _IntervalClimbEngine:
     def minimum(self, w):
         """(v, value): the minimizing unit direction in R^d and the score."""
         # orthonormalize's drop rule: a w inside span(N) adds no constraint
-        tol = DEFAULT_TOLS.rank * max(1.0, float(np.abs(w).max()))
+        tol = RANK_TOL * max(1.0, float(np.abs(w).max()))
         H = _reflector_complement(self.C @ w, tol)
         if H.shape[0] == 0:
             raise EmptySubspaceError("constraints leave no direction for the score")
@@ -343,15 +341,16 @@ class _IntervalClimbEngine:
         self.evaluations += 1
         return self.minimum(w)[1], None
 
-    def gradient(self, w, warm, E, h=1e-5):
-        """Central differences of the value along the tangent basis E."""
+    def gradient(self, w, warm, E):
+        """Central differences of the value along the tangent basis E, with
+        step ``FD_STEP``."""
         g = np.zeros(E.shape[0])
         for i, e in enumerate(E):
-            wp = w + h * e
+            wp = w + FD_STEP * e
             wp /= np.linalg.norm(wp)
-            wm = w - h * e
+            wm = w - FD_STEP * e
             wm /= np.linalg.norm(wm)
-            g[i] = (self.value(wp)[0] - self.value(wm)[0]) / (2 * h)
+            g[i] = (self.value(wp)[0] - self.value(wm)[0]) / (2 * FD_STEP)
         return E.T @ g
 
 
@@ -375,9 +374,8 @@ class SlackOracle:
     exact-penalty climb can crawl along the boundary instead of stalling
     against a binary accept/reject test."""
 
-    def __init__(self, slack_fn: Callable, name: str = "constraint"):
+    def __init__(self, slack_fn: Callable):
         self._slack = slack_fn
-        self.name = name
 
     def slack(self, w) -> float:
         return float(self._slack(np.asarray(w, dtype=float)))
@@ -386,27 +384,31 @@ class SlackOracle:
         return self.slack(w) >= 0.0
 
 
+DEPTH_DIRECTIONS = 1024   # sampled directions of the penetration depth
+KEEP_FLOOR = 1e-7         # slack a kept property must keep after projection
+
+
 @lru_cache(maxsize=32)
-def _interval_directions(m: int, n_dir: int, seed: int = 0x5EED) -> np.ndarray:
-    """Deterministic grid of unit directions in R^m, shared read-only."""
+def _interval_directions(m: int) -> np.ndarray:
+    """Deterministic grid of ``DEPTH_DIRECTIONS`` unit directions in R^m,
+    shared read-only."""
     if m == 1:
         V = np.array([[1.0]])
     elif m == 2:
-        ang = np.pi * np.arange(n_dir) / n_dir
+        ang = np.pi * np.arange(DEPTH_DIRECTIONS) / DEPTH_DIRECTIONS
         V = np.column_stack([np.cos(ang), np.sin(ang)])
     else:
-        rng = np.random.default_rng(seed)
-        V = rng.normal(size=(n_dir, m))
+        rng = np.random.default_rng(0x5EED)
+        V = rng.normal(size=(DEPTH_DIRECTIONS, m))
         V = V / np.linalg.norm(V, axis=1, keepdims=True)
     V.setflags(write=False)
     return V
 
 
-def _interval_depth(A, B, n_dir: int = 1024) -> float:
+def _interval_depth(A, B) -> float:
     """Minimum directional range-overlap of two point clouds: a penetration
     depth that is zero exactly when some direction separates them (weakly)."""
-    m = A.shape[1]
-    dirs = _interval_directions(m, n_dir)
+    dirs = _interval_directions(A.shape[1])
     sa = A @ dirs.T
     sb = B @ dirs.T
     lo = np.maximum(sa.min(axis=0), sb.min(axis=0))
@@ -416,10 +418,9 @@ def _interval_depth(A, B, n_dir: int = 1024) -> float:
 
 def separability_feasibility(ps: LabeledPointSet, keep: tuple[int, ...],
                              require_hidden_overlap: bool = False,
-                             hidden: int = 0, keep_floor: float = 1e-7,
-                             tols: Tolerances = DEFAULT_TOLS) -> SlackOracle:
+                             hidden: int = 0) -> SlackOracle:
     """Feasibility over directions w: after projecting along w, every property
-    in ``keep`` stays strictly separable with slack at least ``keep_floor``
+    in ``keep`` stays strictly separable with slack at least ``KEEP_FLOOR``
     (and, optionally, the hidden property does not stay strictly separable).
 
     The signed slack is the LP separation slack on the feasible side and the
@@ -427,8 +428,8 @@ def separability_feasibility(ps: LabeledPointSet, keep: tuple[int, ...],
     a genuine gradient in both regimes.
     """
     def signed_separation(flat_neg, flat_pos) -> float:
-        s, _, _ = max_slack_separator(flat_neg, flat_pos, tols)
-        if s > tols.lp:
+        s, _, _ = max_slack_separator(flat_neg, flat_pos)
+        if s > LP_TOL:
             return s
         return -_interval_depth(flat_neg, flat_pos)
 
@@ -437,7 +438,7 @@ def separability_feasibility(ps: LabeledPointSet, keep: tuple[int, ...],
         s = np.inf
         for i in keep:
             si = signed_separation(flat[ps.labels[i] == -1],
-                                   flat[ps.labels[i] == +1]) - keep_floor
+                                   flat[ps.labels[i] == +1]) - KEEP_FLOOR
             s = min(s, si)
         if require_hidden_overlap:
             sh = signed_separation(flat[ps.labels[hidden] == -1],
@@ -445,7 +446,7 @@ def separability_feasibility(ps: LabeledPointSet, keep: tuple[int, ...],
             s = min(s, -sh)  # feasible when the hidden sides overlap or touch
         return s
 
-    return SlackOracle(slack_fn, name="separability")
+    return SlackOracle(slack_fn)
 
 
 def _tangent_basis(w: np.ndarray, keep_normals) -> np.ndarray:
@@ -456,6 +457,7 @@ PENALTY_WEIGHT = 1.0
 STEP0 = 0.25              # first and largest climb step, along the tangent
 STEP_MIN = 1e-8           # a climb stops once its step falls below this
 MAX_ITER = 2000           # climb iterations per start
+FD_STEP = 1e-5            # central-difference step of the interval gradient
 ACCEPT_MARGIN = 1e-15     # a step must raise the value by more than this
 INNER_TOL = 1e-12         # KKT violation target for the svm dual
 INNER_MAX_ITER = 200000   # SMO iteration budget per svm evaluation

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import DEFAULT_TOLS, Tolerances
+from .config import GEOM_TOL, LP_TOL
 from .errors import (
     ActuallySeparableError,
     BruteForceCapError,
@@ -111,7 +111,7 @@ def _check_pair(P, Q):
     return P, Q
 
 
-def _slack_lp(P, Q, bounds, tols: Tolerances):
+def _slack_lp(P, Q, bounds):
     """(v, c, s) maximizing s with v.p <= c - s, v.q >= c + s and the
     variables (v, c, s) within ``bounds``."""
     n, d = P.shape
@@ -126,31 +126,31 @@ def _slack_lp(P, Q, bounds, tols: Tolerances):
     b_ub = np.zeros(n + m)
     cost = np.zeros(d + 2)
     cost[d + 1] = -1.0
-    res = solve_lp(cost, A_ub=A_ub, b_ub=b_ub, bounds=bounds, feas_tol=tols.lp)
+    res = solve_lp(cost, A_ub=A_ub, b_ub=b_ub, bounds=bounds, feas_tol=LP_TOL)
     if not res.ok:
         raise InvalidCertificateError("slack LP unexpectedly unsolvable")
     return res.x
 
 
-def max_slack_separator(P, Q, tols: Tolerances = DEFAULT_TOLS):
+def max_slack_separator(P, Q):
     """(slack, v, c) maximizing s with v.p <= c - s, v.q >= c + s, |v|_inf <= 1.
 
     slack > 0 iff strictly separable; slack == 0 at best when not.
     """
     P, Q = _check_pair(P, Q)
     d = P.shape[1]
-    x = _slack_lp(P, Q, [(-1.0, 1.0)] * d + [(None, None), (None, None)], tols)
+    x = _slack_lp(P, Q, [(-1.0, 1.0)] * d + [(None, None), (None, None)])
     return float(x[d + 1]), x[:d], float(x[d])
 
 
-def weak_separator(P, Q, tols: Tolerances = DEFAULT_TOLS):
+def weak_separator(P, Q):
     """Nonzero (v, c) with v.p <= c <= v.q for all points, or None.
 
     Exact: any weak separator scales to |v|_inf = 1, so fixing each coordinate
     to +-1 in turn covers all directions.  Each fixed coordinate solves the
     slack LP, which always has an optimum, also when the sides only just
     touch (a pure feasibility LP can end there without a verdict); the sides
-    are weakly separable along it when the slack is >= -tols.lp times the
+    are weakly separable along it when the slack is >= -LP_TOL times the
     data scale.
     """
     P, Q = _check_pair(P, Q)
@@ -160,8 +160,8 @@ def weak_separator(P, Q, tols: Tolerances = DEFAULT_TOLS):
         for sgn in (1.0, -1.0):
             bounds = [(-1.0, 1.0)] * d + [(None, None), (None, None)]
             bounds[j] = (sgn, sgn)
-            x = _slack_lp(P, Q, bounds, tols)
-            if x[d + 1] >= -tols.lp * scale:
+            x = _slack_lp(P, Q, bounds)
+            if x[d + 1] >= -LP_TOL * scale:
                 return x[:d], float(x[d])
     return None
 
@@ -266,8 +266,7 @@ def _best_plane(P, Q, candidates):
     return Hyperplane(u, c), max(margin, 0.0)
 
 
-def linear_separability(P, Q, strict: bool = True,
-                        tols: Tolerances = DEFAULT_TOLS) -> SeparationResult:
+def linear_separability(P, Q, strict: bool = True) -> SeparationResult:
     """Decide (strict) linear separability of P from Q with a certificate.
 
     Separable results carry the best hyperplane found (maximum Euclidean
@@ -275,14 +274,14 @@ def linear_separability(P, Q, strict: bool = True,
     point.
     """
     P, Q = _check_pair(P, Q)
-    slack, v_lp, _ = max_slack_separator(P, Q, tols)
-    if slack > tols.lp:
+    slack, v_lp, _ = max_slack_separator(P, Q)
+    if slack > LP_TOL:
         plane, margin = _best_plane(P, Q, [v_lp, _hard_margin_direction(P, Q)])
         result = SeparationResult(True, strict=True, hyperplane=plane, margin=margin)
         result.validate(P, Q)
         return result
     if not strict:
-        weak = weak_separator(P, Q, tols)
+        weak = weak_separator(P, Q)
         if weak is not None:
             v, c = weak
             nv = np.linalg.norm(v)
@@ -290,13 +289,13 @@ def linear_separability(P, Q, strict: bool = True,
             result = SeparationResult(True, strict=False, hyperplane=plane, margin=0.0)
             result.validate(P, Q)
             return result
-    x, lam, mu = common_point(P, Q, tols)
+    x, lam, mu = common_point(P, Q)
     result = SeparationResult(False, point=x, lam=lam, mu=mu)
     result.validate(P, Q)
     return result
 
 
-def point_in_hull(x, P, tols: Tolerances = DEFAULT_TOLS):
+def point_in_hull(x, P):
     """(flag, coefficients) for membership of x in the convex hull of P."""
     P = as_points(P)
     x = np.asarray(x, dtype=float)
@@ -306,7 +305,7 @@ def point_in_hull(x, P, tols: Tolerances = DEFAULT_TOLS):
     A_eq = np.vstack([P.T, np.ones((1, n))])
     b_eq = np.concatenate([x, [1.0]])
     scale = max(1.0, float(np.abs(b_eq).max()))
-    res = solve_lp(np.zeros(n), A_eq=A_eq, b_eq=b_eq, feas_tol=tols.lp * scale)
+    res = solve_lp(np.zeros(n), A_eq=A_eq, b_eq=b_eq, feas_tol=LP_TOL * scale)
     if not res.ok:
         return False, None
     lam = np.clip(res.x, 0.0, None)
@@ -316,7 +315,7 @@ def point_in_hull(x, P, tols: Tolerances = DEFAULT_TOLS):
     return True, lam
 
 
-def common_point(P, Q, tols: Tolerances = DEFAULT_TOLS):
+def common_point(P, Q):
     """A certified point of CH(P) ∩ CH(Q): returns (x, lam, mu).
 
     Raises ActuallySeparableError when the hulls do not intersect.
@@ -333,7 +332,7 @@ def common_point(P, Q, tols: Tolerances = DEFAULT_TOLS):
     b_eq[d] = 1.0
     b_eq[d + 1] = 1.0
     scale = max(1.0, float(np.abs(P).max()), float(np.abs(Q).max()))
-    res = solve_lp(np.zeros(n + m), A_eq=A_eq, b_eq=b_eq, feas_tol=tols.lp * scale)
+    res = solve_lp(np.zeros(n + m), A_eq=A_eq, b_eq=b_eq, feas_tol=LP_TOL * scale)
     if not res.ok:
         raise ActuallySeparableError("convex hulls do not intersect")
     lam = np.clip(res.x[:n], 0.0, None)
@@ -341,7 +340,7 @@ def common_point(P, Q, tols: Tolerances = DEFAULT_TOLS):
     lam /= lam.sum()
     mu /= mu.sum()
     x = 0.5 * (lam @ P + mu @ Q)
-    check_common_point_certificate(P, Q, x, lam, mu, tol=max(tols.geom, 10 * tols.lp * scale))
+    check_common_point_certificate(P, Q, x, lam, mu, tol=max(GEOM_TOL, 10 * LP_TOL * scale))
     return x, lam, mu
 
 
@@ -358,8 +357,7 @@ class KirchbergerWitness:
         return len(self.idx_p) + len(self.idx_q)
 
 
-def kirchberger_reduce(P, Q, x, lam, mu,
-                       tols: Tolerances = DEFAULT_TOLS) -> KirchbergerWitness:
+def kirchberger_reduce(P, Q, x, lam, mu) -> KirchbergerWitness:
     """Shrink a common-point certificate to at most d+2 support points.
 
     Each round solves one homogeneous balance system over at most d+3 active
@@ -368,7 +366,7 @@ def kirchberger_reduce(P, Q, x, lam, mu,
     drops every coefficient that reaches zero.  Cost is O((|P|+|Q|) d^3).
     """
     P, Q = _check_pair(P, Q)
-    check_common_point_certificate(P, Q, x, lam, mu, tol=max(tols.geom, 1e-7))
+    check_common_point_certificate(P, Q, x, lam, mu)
     d = P.shape[1]
     lam = np.asarray(lam, dtype=float).copy()
     mu = np.asarray(mu, dtype=float).copy()
@@ -431,18 +429,17 @@ def kirchberger_reduce(P, Q, x, lam, mu,
     mu_star = mu[idx_q] / mu[idx_q].sum()
     point = 0.5 * (lam_star @ P[idx_p] + mu_star @ Q[idx_q])
     out = KirchbergerWitness(idx_p, idx_q, lam_star, mu_star, point)
-    check_common_point_certificate(P[idx_p], Q[idx_q], point, lam_star, mu_star,
-                                   tol=max(tols.geom, 1e-7))
+    check_common_point_certificate(P[idx_p], Q[idx_q], point, lam_star, mu_star)
     return out
 
 
-def one_infty_separable(P, Q, tols: Tolerances = DEFAULT_TOLS):
+def one_infty_separable(P, Q):
     """One-vs-many convex separability: holds unless some point of P lies in
     CH(Q) and some point of Q lies in CH(P).  Returns (flag, p_idx, q_idx)."""
     P, Q = _check_pair(P, Q)
     q_idx = None
     for j in range(Q.shape[0]):
-        inside, _ = point_in_hull(Q[j], P, tols)
+        inside, _ = point_in_hull(Q[j], P)
         if inside:
             q_idx = j
             break
@@ -450,7 +447,7 @@ def one_infty_separable(P, Q, tols: Tolerances = DEFAULT_TOLS):
         return True, None, None
     p_idx = None
     for i in range(P.shape[0]):
-        inside, _ = point_in_hull(P[i], Q, tols)
+        inside, _ = point_in_hull(P[i], Q)
         if inside:
             p_idx = i
             break
@@ -459,7 +456,7 @@ def one_infty_separable(P, Q, tols: Tolerances = DEFAULT_TOLS):
     return False, p_idx, q_idx
 
 
-def _ray_exit_support(center, target, H, tols: Tolerances):
+def _ray_exit_support(center, target, H):
     """Maximize t with center + t (target - center) in CH(H); return (t, support).
 
     The optimal basic solution has at most d nonzero hull coefficients, so the
@@ -478,7 +475,7 @@ def _ray_exit_support(center, target, H, tols: Tolerances):
     cost = np.zeros(n + 1)
     cost[n] = -1.0
     scale = max(1.0, float(np.abs(H).max()))
-    res = solve_lp(cost, A_eq=A_eq, b_eq=b_eq, feas_tol=tols.lp * scale)
+    res = solve_lp(cost, A_eq=A_eq, b_eq=b_eq, feas_tol=LP_TOL * scale)
     if not res.ok:
         raise InvalidWitnessError("ray LP infeasible; center not inside the hull")
     lam = res.x[:n]
@@ -486,8 +483,7 @@ def _ray_exit_support(center, target, H, tols: Tolerances):
     return float(res.x[n]), support, lam
 
 
-def one_infty_witness(P, Q, p_idx: int, q_idx: int,
-                      tols: Tolerances = DEFAULT_TOLS):
+def one_infty_witness(P, Q, p_idx: int, q_idx: int):
     """Shrink a mutual-containment pair to at most d+1 points per side.
 
     Walks the ray from each contained point through the other witness to the
@@ -497,20 +493,20 @@ def one_infty_witness(P, Q, p_idx: int, q_idx: int,
     P, Q = _check_pair(P, Q)
     d = P.shape[1]
     p_star, q_star = P[p_idx], Q[q_idx]
-    ok_p, _ = point_in_hull(p_star, Q, tols)
-    ok_q, _ = point_in_hull(q_star, P, tols)
+    ok_p, _ = point_in_hull(p_star, Q)
+    ok_q, _ = point_in_hull(q_star, P)
     if not (ok_p and ok_q):
         raise InvalidWitnessError("claimed witnesses fail their hull memberships")
-    if np.linalg.norm(q_star - p_star) <= tols.geom:
+    if np.linalg.norm(q_star - p_star) <= GEOM_TOL:
         return np.array([p_idx]), np.array([q_idx])
-    _, sup_p, _ = _ray_exit_support(p_star, q_star, P, tols)
-    _, sup_q, _ = _ray_exit_support(q_star, p_star, Q, tols)
+    _, sup_p, _ = _ray_exit_support(p_star, q_star, P)
+    _, sup_q, _ = _ray_exit_support(q_star, p_star, Q)
     idx_p = np.unique(np.concatenate([[p_idx], sup_p]))
     idx_q = np.unique(np.concatenate([[q_idx], sup_q]))
     if len(idx_p) > d + 1 or len(idx_q) > d + 1:
         raise InvalidWitnessError("degenerate support exceeded the simplex size")
-    in_p, _ = point_in_hull(q_star, P[idx_p], tols)
-    in_q, _ = point_in_hull(p_star, Q[idx_q], tols)
+    in_p, _ = point_in_hull(q_star, P[idx_p])
+    in_q, _ = point_in_hull(p_star, Q[idx_q])
     if not (in_p and in_q):
         raise InvalidWitnessError("witness simplices lost a containment")
     return idx_p, idx_q
@@ -526,7 +522,7 @@ class BCCover:
     groups_q: tuple[tuple[int, ...], ...]
     roles_swapped: bool = False
 
-    def validate(self, P, Q, tols: Tolerances = DEFAULT_TOLS) -> None:
+    def validate(self, P, Q) -> None:
         P, Q = as_points(P), as_points(Q)
         covered_p = sorted(i for g in self.groups_p for i in g)
         covered_q = sorted(j for g in self.groups_q for j in g)
@@ -534,8 +530,8 @@ class BCCover:
             raise InvalidCertificateError("cover groups do not partition the points")
         for gp in self.groups_p:
             for gq in self.groups_q:
-                slack, _, _ = max_slack_separator(P[list(gp)], Q[list(gq)], tols)
-                if slack <= tols.lp:
+                slack, _, _ = max_slack_separator(P[list(gp)], Q[list(gq)])
+                if slack <= LP_TOL:
                     raise InvalidCertificateError(
                         f"groups {gp} and {gq} are not strictly separable"
                     )
@@ -559,18 +555,21 @@ def _partitions_up_to(n_items: int, max_parts: int):
     yield from rec(0, [])
 
 
-def bc_separable_bruteforce(P, Q, b: int, c: int, max_points: int = 14,
-                            tols: Tolerances = DEFAULT_TOLS):
+BRUTE_FORCE_MAX_POINTS = 14  # cap on |P| + |Q| for the partition enumeration
+
+
+def bc_separable_bruteforce(P, Q, b: int, c: int):
     """Exhaustively decide coverability of P by <= b convex sets and Q by <= c
     (or the budgets swapped) with both unions disjoint.
 
     Returns (flag, BCCover | None).  The first success in the deterministic
-    enumeration order is returned.
+    enumeration order is returned.  Raises BruteForceCapError when the two
+    sets hold more than ``BRUTE_FORCE_MAX_POINTS`` points together.
     """
     P, Q = _check_pair(P, Q)
-    if P.shape[0] + Q.shape[0] > max_points:
+    if P.shape[0] + Q.shape[0] > BRUTE_FORCE_MAX_POINTS:
         raise BruteForceCapError(
-            f"{P.shape[0] + Q.shape[0]} points exceed the cap of {max_points}"
+            f"{P.shape[0] + Q.shape[0]} points exceed the cap of {BRUTE_FORCE_MAX_POINTS}"
         )
     pair_cache: dict[tuple, bool] = {}
 
@@ -578,8 +577,8 @@ def bc_separable_bruteforce(P, Q, b: int, c: int, max_points: int = 14,
         key = (gp, gq)
         hit = pair_cache.get(key)
         if hit is None:
-            slack, _, _ = max_slack_separator(P[list(gp)], Q[list(gq)], tols)
-            hit = slack > tols.lp
+            slack, _, _ = max_slack_separator(P[list(gp)], Q[list(gq)])
+            hit = slack > LP_TOL
             pair_cache[key] = hit
         return hit
 
@@ -595,5 +594,5 @@ def bc_separable_bruteforce(P, Q, b: int, c: int, max_points: int = 14,
         cover = search(c, b, swapped=True)
     if cover is None:
         return False, None
-    cover.validate(P, Q, tols)
+    cover.validate(P, Q)
     return True, cover

@@ -24,7 +24,7 @@ from typing import Callable
 
 import numpy as np
 
-from .config import DEFAULT_TOLS, Tolerances
+from .config import GEOM_TOL, LP_TOL, RANK_TOL
 from .data import LabeledPointSet
 from .errors import (
     ActuallySeparableError,
@@ -33,7 +33,6 @@ from .errors import (
     DegeneratePositionError,
     EmptySubspaceError,
     InvalidCertificateError,
-    NotAllLabelsError,
     NotIntersectingError,
     NotSeparableInputError,
     SepProjError,
@@ -112,12 +111,11 @@ class ImpossibleOutcome:
         return True
 
 
-def max_margin_planes(ps: LabeledPointSet, props,
-                      tols: Tolerances = DEFAULT_TOLS) -> dict[int, Hyperplane]:
+def max_margin_planes(ps: LabeledPointSet, props) -> dict[int, Hyperplane]:
     """Maximum-margin separating hyperplane per requested property."""
     planes: dict[int, Hyperplane] = {}
     for i in props:
-        res = linear_separability(ps.side(i, -1), ps.side(i, +1), tols=tols)
+        res = linear_separability(ps.side(i, -1), ps.side(i, +1))
         if not res.separable or not res.strict:
             raise NotSeparableInputError(f"property {i} is not strictly separable")
         planes[i] = res.hyperplane
@@ -131,22 +129,22 @@ def _side_coordinates(ps: LabeledPointSet, planes: dict[int, Hyperplane],
     return np.column_stack(cols) if cols else np.zeros((ps.n, 0))
 
 
-def _resolve_problem(prob: SynthesisProblem, tols: Tolerances):
+def _resolve_problem(prob: SynthesisProblem):
     ps = prob.data
     keep = prob.keep_indices()
     planes = dict(prob.keep_planes)
     missing = [i for i in keep if i not in planes]
     if missing:
-        planes.update(max_margin_planes(ps, missing, tols))
+        planes.update(max_margin_planes(ps, missing))
     for i in keep:
         h = planes[i]
-        if not h.separates(ps.side(i, -1), ps.side(i, +1), strict=True, tol=tols.lp):
+        if not h.separates(ps.side(i, -1), ps.side(i, +1), strict=True, tol=LP_TOL):
             raise NotSeparableInputError(
                 f"supplied plane for property {i} does not strictly separate it"
             )
     normals = np.array([planes[i].normal for i in keep]) if keep else np.zeros((0, ps.d))
     if keep:
-        basis_a = orthonormalize(normals, tols)
+        basis_a = orthonormalize(normals)
         if basis_a.count != len(keep):
             raise DegeneratePositionError("keep-plane normals are linearly dependent")
     else:
@@ -154,15 +152,15 @@ def _resolve_problem(prob: SynthesisProblem, tols: Tolerances):
     return ps, keep, planes, normals, basis_a
 
 
-def _keep_certificates(projected: LabeledPointSet, keep, planes,
-                       tols: Tolerances) -> dict[int, SeparationResult]:
+def _keep_certificates(projected: LabeledPointSet, keep,
+                       planes) -> dict[int, SeparationResult]:
     out: dict[int, SeparationResult] = {}
     for i in keep:
         h = planes[i]
         sn = h.side_values(projected.side(i, -1))
         sp = h.side_values(projected.side(i, +1))
         margin = 0.5 * float(sp.min() - sn.max())
-        if margin <= tols.lp:
+        if margin <= LP_TOL:
             raise DegeneratePositionError(
                 f"projection failed to preserve the separator of property {i}"
             )
@@ -172,27 +170,20 @@ def _keep_certificates(projected: LabeledPointSet, keep, planes,
     return out
 
 
-def construct_eliminating_projection(prob: SynthesisProblem,
-                                     tols: Tolerances = DEFAULT_TOLS,
-                                     strict_labels: bool = False):
+def construct_eliminating_projection(prob: SynthesisProblem):
     """One separation-preserving unit vector whose projection makes the hidden
     property lose strict linear separability, certified on the output.
 
     Requires all properties strictly separable.  With every label combination
     present the construction always succeeds; otherwise it can return
-    ``ImpossibleOutcome`` (or raise NotAllLabelsError with strict_labels).
+    ``ImpossibleOutcome``.
     """
-    ps, keep, planes, normals, basis_a = _resolve_problem(prob, tols)
+    ps, keep, planes, normals, basis_a = _resolve_problem(prob)
     hidden = prob.hidden
-    hres = linear_separability(ps.side(hidden, -1), ps.side(hidden, +1), tols=tols)
+    hres = linear_separability(ps.side(hidden, -1), ps.side(hidden, +1))
     if not (hres.separable and hres.strict):
         raise NotSeparableInputError("hidden property is not strictly separable")
-    if not ps.uses_all_labels():
-        if strict_labels:
-            raise NotAllLabelsError(
-                f"{len(ps.label_tuples())} of {2 ** ps.k} label combinations present"
-            )
-    elif ps.d < ps.k:
+    if ps.uses_all_labels() and ps.d < ps.k:
         raise DegeneratePositionError("all labels present requires d >= k")
 
     side = _side_coordinates(ps, planes, keep)      # (n, k-1)
@@ -205,26 +196,26 @@ def construct_eliminating_projection(prob: SynthesisProblem,
         # no separators to keep: collapse along the hidden property's own
         # max-margin normal, which folds the two sides together
         w = hres.hyperplane.normal
-        return _finish_single(prob, ps, keep, planes, basis_a, w, None, tols)
+        return _finish_single(prob, ps, keep, planes, basis_a, w, None)
 
     # the hidden property must overlap after projecting onto the span of the
     # keep normals; with all labels present both hulls contain the origin
     origin = np.zeros(len(keep))
-    in_neg, lam = point_in_hull(origin, q_neg, tols)
-    in_pos, mu = point_in_hull(origin, q_pos, tols)
+    in_neg, lam = point_in_hull(origin, q_neg)
+    in_pos, mu = point_in_hull(origin, q_pos)
     if in_neg and in_pos:
         x0 = origin
     else:
         try:
-            x0, lam, mu = common_point(q_neg, q_pos, tols)
+            x0, lam, mu = common_point(q_neg, q_pos)
         except ActuallySeparableError:
-            evidence = linear_separability(q_neg, q_pos, tols=tols)
+            evidence = linear_separability(q_neg, q_pos)
             return ImpossibleOutcome(
                 "hidden property stays strictly separable on the projection "
                 "onto the keep-normal span",
                 evidence, (q_neg, q_pos), planes,
             )
-    witness = kirchberger_reduce(q_neg, q_pos, x0, lam, mu, tols)
+    witness = kirchberger_reduce(q_neg, q_pos, x0, lam, mu)
 
     star_idx = np.concatenate([neg_idx[witness.idx_p], pos_idx[witness.idx_q]])
     p_star_pos = int(np.argmin(star_idx))
@@ -232,15 +223,15 @@ def construct_eliminating_projection(prob: SynthesisProblem,
     others = ps.points[np.delete(star_idx, p_star_pos)]
 
     try:
-        dirs = orthonormalize(others[1:] - others[0], tols) if len(others) > 1 \
+        dirs = orthonormalize(others[1:] - others[0]) if len(others) > 1 \
             else OrthoBasis.empty(ps.d)
     except AllDegenerateError as exc:
         raise DegeneratePositionError(f"witness flat is degenerate: {exc}") from exc
     f1 = Flat(others[0], dirs)
-    f2 = Flat(p_star, complement_basis(basis_a, tols))
-    r = _intersection_point(f1, f2, tols)
+    f2 = Flat(p_star, complement_basis(basis_a))
+    r = _intersection_point(f1, f2)
     w_raw = r - p_star
-    if np.linalg.norm(w_raw) <= tols.geom:
+    if np.linalg.norm(w_raw) <= GEOM_TOL:
         raise DegeneratePositionError("witness point already lies on the target flat")
     w = w_raw / np.linalg.norm(w_raw)
     if basis_a.count:
@@ -252,11 +243,11 @@ def construct_eliminating_projection(prob: SynthesisProblem,
     mu_full = np.zeros(len(pos_idx))
     mu_full[witness.idx_q] = witness.mu
     return _finish_single(prob, ps, keep, planes, basis_a, w, (lam_full, mu_full),
-                          tols, witness_idx=star_idx)
+                          witness_idx=star_idx)
 
 
-def _intersection_point(f1: Flat, f2: Flat, tols: Tolerances) -> np.ndarray:
-    out = intersect_flats(f1, f2, tols)
+def _intersection_point(f1: Flat, f2: Flat) -> np.ndarray:
+    out = intersect_flats(f1, f2)
     if out is None:
         raise DegeneratePositionError("witness flats do not intersect")
     if isinstance(out, Flat):
@@ -264,8 +255,7 @@ def _intersection_point(f1: Flat, f2: Flat, tols: Tolerances) -> np.ndarray:
     return out
 
 
-def _finish_single(prob, ps, keep, planes, basis_a, w, cert, tols,
-                   witness_idx=None):
+def _finish_single(prob, ps, keep, planes, basis_a, w, cert, witness_idx=None):
     basis = OrthoBasis(w[None, :])
     projected = ps.with_points(project_points(ps.points, basis))
     pn = projected.side(prob.hidden, -1)
@@ -275,19 +265,18 @@ def _finish_single(prob, ps, keep, planes, basis_a, w, cert, tols,
         lam_full, mu_full = cert
         x = 0.5 * (lam_full @ pn + mu_full @ pp)
         try:
-            check_common_point_certificate(pn, pp, x, lam_full, mu_full,
-                                           tol=max(tols.geom, 1e-7))
+            check_common_point_certificate(pn, pp, x, lam_full, mu_full)
             hidden_result = SeparationResult(False, point=x, lam=lam_full, mu=mu_full)
         except InvalidCertificateError:
             hidden_result = None
     if hidden_result is None:
-        hidden_result = linear_separability(pn, pp, tols=tols)
+        hidden_result = linear_separability(pn, pp)
         if hidden_result.separable:
             raise DegeneratePositionError(
                 "projected hidden property is unexpectedly still strictly separable"
             )
     residual = float(np.abs(basis_a.vectors @ w).max()) if basis_a.count else 0.0
-    keep_results = _keep_certificates(projected, keep, planes, tols)
+    keep_results = _keep_certificates(projected, keep, planes)
     return ProjectionOutcome(basis, projected, hidden_result, keep_results,
                              planes, residual, witness=witness_idx)
 
@@ -299,10 +288,11 @@ def _finish_single(prob, ps, keep, planes, basis_a, w, cert, tols,
 MAX_HYPERPLANES = 200000
 # hyperplanes per batched SVD: bounds the memory and lets a hit stop early
 _HYPERPLANE_CHUNK = 8192
+PERTURB_EPS = 1e-6       # largest distance of a perturbed direction from +-w
+PERTURB_RETRIES = 40     # perturbation scales tried per anchor
 
 
-def general_position_violations(points: np.ndarray, subset_size: int,
-                                tols: Tolerances = DEFAULT_TOLS):
+def general_position_violations(points: np.ndarray, subset_size: int):
     """Whether ``subset_size`` of the points lie on one common hyperplane.
 
     The points live in R^D and ``subset_size`` must be at least D + 1, so a
@@ -311,7 +301,7 @@ def general_position_violations(points: np.ndarray, subset_size: int,
     one hyperplane or, when the whole set has affine rank below D, the whole
     set; every hyperplane through those D points then holds the subset.  So
     the check takes one hyperplane through each of the C(n, D) D-point
-    subsets and counts the points within ``tols.rank * scale`` of it, where
+    subsets and counts the points within ``RANK_TOL * scale`` of it, where
     scale is max(1, the largest absolute coordinate).
 
     Returns ``[]`` for a set in general position, or a one-element list with
@@ -329,7 +319,7 @@ def general_position_violations(points: np.ndarray, subset_size: int,
         raise DegeneratePositionError(
             f"general-position check over {count} hyperplanes exceeds the cap"
         )
-    tol = tols.rank * max(1.0, float(np.abs(points).max()))
+    tol = RANK_TOL * max(1.0, float(np.abs(points).max()))
     flat = chain.from_iterable(combinations(range(n), dim))
     while True:
         idx = np.fromiter(islice(flat, _HYPERPLANE_CHUNK * dim), dtype=np.intp)
@@ -385,17 +375,17 @@ def _pad_selection(act_p, act_q, Pf, Qf, need, anchor, anchor_locked):
     return sorted(sel_p), sorted(sel_q)
 
 
-def perturb_general_position(P, Q, w, eps_perturb: float = 1e-6,
-                             retries: int = 40,
-                             tols: Tolerances = DEFAULT_TOLS):
+def perturb_general_position(P, Q, w):
     """Perturb a projection direction so the projected sets are not linearly
     separable at all and carry no hyperplane-degenerate (d+1)-subset.
 
     The projected hulls must already intersect.  The perturbation moves the
     convex-combination certificate to strictly positive coefficients on d+1
     points while keeping one distinguished coefficient fixed, then re-aims the
-    projection at the point realizing the perturbed combination.  Returns
-    (w_new, info dict).
+    projection at the point realizing the perturbed combination.  The new
+    direction lies within ``PERTURB_EPS`` of +-w; each anchor gets
+    ``PERTURB_RETRIES`` attempts, halving the perturbation scale between
+    them.  Returns (w_new, info dict).
     """
     P = np.asarray(P, dtype=float)
     Q = np.asarray(Q, dtype=float)
@@ -409,13 +399,13 @@ def perturb_general_position(P, Q, w, eps_perturb: float = 1e-6,
         raise EmptySubspaceError("projecting along w leaves a point: needs d >= 2")
 
     basis_w = OrthoBasis(w[None, :])
-    Pf = flat_coordinates(P, basis_w, tols)
-    Qf = flat_coordinates(Q, basis_w, tols)
+    Pf = flat_coordinates(P, basis_w)
+    Qf = flat_coordinates(Q, basis_w)
     try:
-        x0, lam0, mu0 = common_point(Pf, Qf, tols)
+        x0, lam0, mu0 = common_point(Pf, Qf)
     except ActuallySeparableError as exc:
         raise NotIntersectingError("projected hulls do not intersect") from exc
-    witness = kirchberger_reduce(Pf, Qf, x0, lam0, mu0, tols)
+    witness = kirchberger_reduce(Pf, Qf, x0, lam0, mu0)
 
     lam = np.zeros(n)
     lam[witness.idx_p] = witness.lam
@@ -441,28 +431,27 @@ def perturb_general_position(P, Q, w, eps_perturb: float = 1e-6,
         info = {"selected_p": sel_p, "selected_q": sel_q,
                 "anchor": (side_a, idx_a)}
         delta = 1.0
-        for attempt in range(retries):
+        for attempt in range(PERTURB_RETRIES):
             try:
                 w_new = _perturbed_direction(P, Q, Pf, Qf, w, sel_p, sel_q,
-                                             lam, mu, (side_a, idx_a), delta,
-                                             tols)
+                                             lam, mu, (side_a, idx_a), delta)
             except DegeneratePositionError as exc:
                 last_err = str(exc)
                 delta *= 0.5
                 continue
             dist = min(np.linalg.norm(w_new - w), np.linalg.norm(w_new + w))
-            if dist > eps_perturb:
+            if dist > PERTURB_EPS:
                 # the distance is about linear in delta: skip the halvings
-                # that would still land above eps_perturb
-                delta *= 0.5 ** max(1, math.floor(math.log2(dist / eps_perturb)))
+                # that would still land above PERTURB_EPS
+                delta *= 0.5 ** max(1, math.floor(math.log2(dist / PERTURB_EPS)))
                 continue
             flat = flat_coordinates(np.vstack([P, Q]),
-                                    OrthoBasis(w_new[None, :]), tols)
-            if weak_separator(flat[:n], flat[n:], tols) is not None:
+                                    OrthoBasis(w_new[None, :]))
+            if weak_separator(flat[:n], flat[n:]) is not None:
                 last_err = "projection still weakly separable"
                 delta *= 0.5
                 continue
-            if general_position_violations(flat, d + 1, tols):
+            if general_position_violations(flat, d + 1):
                 last_err = "projected points still hyperplane-degenerate"
                 delta *= 0.5
                 continue
@@ -472,7 +461,7 @@ def perturb_general_position(P, Q, w, eps_perturb: float = 1e-6,
 
 
 def _perturbed_direction(P, Q, Pf, Qf, w, sel_p, sel_q, lam, mu, anchor,
-                         delta, tols):
+                         delta):
     """Apply the coefficient perturbation at scale ``delta`` and re-aim the
     projection at the point realizing the perturbed combination.  Pf and Qf
     are the flat coordinates of P and Q after projecting along w."""
@@ -505,21 +494,21 @@ def _perturbed_direction(P, Q, Pf, Qf, w, sel_p, sel_q, lam, mu, anchor,
             sys_orig.append(Q[j])
     S_flat = np.array(sys_flat)
     S_orig = np.array(sys_orig)
-    if affine_rank(S_flat, tols) < len(S_flat) - 1:
+    if affine_rank(S_flat) < len(S_flat) - 1:
         raise DegeneratePositionError("barycentric reference points are degenerate")
 
     target_p = sum(lam_new[i] * Pf[i] for i in sel_p)
     target_q = sum(mu_new[j] * Qf[j] for j in sel_q)
     target_own = target_p if side_a == 0 else target_q
     target_other = target_q if side_a == 0 else target_p
-    c_anchor = barycentric_coords(anchor_flat, S_flat, tols)
-    c_own = barycentric_coords(target_own, S_flat, tols)
-    c_other = barycentric_coords(target_other, S_flat, tols)
+    c_anchor = barycentric_coords(anchor_flat, S_flat)
+    c_own = barycentric_coords(target_own, S_flat)
+    c_other = barycentric_coords(target_other, S_flat)
     c_star = c_anchor + (c_other - c_own) / coeff_a
     p_star = c_star @ S_orig
     w_raw = anchor_orig - p_star
     norm = np.linalg.norm(w_raw)
-    if norm <= tols.rank:
+    if norm <= RANK_TOL:
         raise DegeneratePositionError("perturbed direction collapsed to zero")
     w_new = w_raw / norm
     if w_new @ w < 0:
@@ -535,8 +524,9 @@ def _perturbed_direction(P, Q, Pf, Qf, w, sel_p, sel_q, lam, mu, anchor,
 class SeparabilityPredicate:
     """A separability decision procedure with a small-witness extractor.
 
-    ``holds(P, Q) -> (flag, evidence)`` and
-    ``witness(P, Q) -> (idx_p, idx_q)`` for inputs where the predicate fails.
+    ``holds(P, Q) -> (flag, evidence)``, and for inputs where the predicate
+    fails ``witness(P, Q, evidence) -> (idx_p, idx_q)``, given the evidence
+    that failed ``holds`` call returned.
     """
 
     name: str
@@ -544,29 +534,34 @@ class SeparabilityPredicate:
     witness: Callable
 
 
-def one_infty_predicate(tols: Tolerances = DEFAULT_TOLS) -> SeparabilityPredicate:
+def one_infty_predicate() -> SeparabilityPredicate:
     def holds(P, Q):
-        flag, p_idx, q_idx = one_infty_separable(P, Q, tols)
+        flag, p_idx, q_idx = one_infty_separable(P, Q)
         return flag, (p_idx, q_idx)
 
-    def witness(P, Q):
-        flag, p_idx, q_idx = one_infty_separable(P, Q, tols)
-        if flag:
+    def witness(P, Q, evidence):
+        p_idx, q_idx = evidence
+        if p_idx is None:
             raise ActuallySeparableError("predicate holds; no witness exists")
-        return one_infty_witness(P, Q, p_idx, q_idx, tols)
+        return one_infty_witness(P, Q, p_idx, q_idx)
 
     return SeparabilityPredicate("1,inf", holds, witness)
 
 
-def bc_predicate(b: int, c: int, max_points: int = 14, witness_cap: int = 12,
-                 tols: Tolerances = DEFAULT_TOLS) -> SeparabilityPredicate:
-    def holds(P, Q):
-        return bc_separable_bruteforce(P, Q, b, c, max_points=max_points, tols=tols)
+BC_WITNESS_CAP = 12   # largest subset the (b, c) witness search tries
 
-    def witness(P, Q):
+
+def bc_predicate(b: int, c: int) -> SeparabilityPredicate:
+    """(b, c)-separability by ``bc_separable_bruteforce``.  Its witness is
+    the first non-separable subset in order of size, up to
+    ``BC_WITNESS_CAP`` points."""
+    def holds(P, Q):
+        return bc_separable_bruteforce(P, Q, b, c)
+
+    def witness(P, Q, evidence):
         P = np.asarray(P, dtype=float)
         Q = np.asarray(Q, dtype=float)
-        for total in range(2, witness_cap + 1):
+        for total in range(2, BC_WITNESS_CAP + 1):
             for np_ in range(1, total):
                 nq = total - np_
                 if np_ > len(P) or nq > len(Q):
@@ -574,35 +569,31 @@ def bc_predicate(b: int, c: int, max_points: int = 14, witness_cap: int = 12,
                 for ip in combinations(range(len(P)), np_):
                     for iq in combinations(range(len(Q)), nq):
                         flag, _ = bc_separable_bruteforce(
-                            P[list(ip)], Q[list(iq)], b, c,
-                            max_points=max_points, tols=tols)
+                            P[list(ip)], Q[list(iq)], b, c)
                         if not flag:
                             return np.array(ip), np.array(iq)
         raise WitnessSearchExceededError(
-            f"no non-separable subset of at most {witness_cap} points found"
+            f"no non-separable subset of at most {BC_WITNESS_CAP} points found"
         )
 
     return SeparabilityPredicate(f"{b},{c}", holds, witness)
 
 
-def linear_predicate(tols: Tolerances = DEFAULT_TOLS) -> SeparabilityPredicate:
+def linear_predicate() -> SeparabilityPredicate:
     def holds(P, Q):
-        res = linear_separability(P, Q, tols=tols)
+        res = linear_separability(P, Q)
         return (res.separable and res.strict), res
 
-    def witness(P, Q):
-        P = np.asarray(P, dtype=float)
-        Q = np.asarray(Q, dtype=float)
-        x, lam, mu = common_point(P, Q, tols)
-        wit = kirchberger_reduce(P, Q, x, lam, mu, tols)
+    def witness(P, Q, evidence):
+        # the failed strict test's certificate is a common hull point
+        wit = kirchberger_reduce(P, Q, evidence.point, evidence.lam, evidence.mu)
         return wit.idx_p, wit.idx_q
 
     return SeparabilityPredicate("1,1", holds, witness)
 
 
 def multi_projection_driver(prob: SynthesisProblem,
-                            predicate: SeparabilityPredicate,
-                            tols: Tolerances = DEFAULT_TOLS):
+                            predicate: SeparabilityPredicate):
     """Eliminate a well-behaved separability predicate for the hidden property
     with few separation-preserving projections, or certify impossibility.
 
@@ -613,7 +604,7 @@ def multi_projection_driver(prob: SynthesisProblem,
     orthogonal to the span transfers the failure to the projected data.  The
     emitted basis size never exceeds min(|witness| - k, d - k + 1).
     """
-    ps, keep, planes, normals, basis_a = _resolve_problem(prob, tols)
+    ps, keep, planes, normals, basis_a = _resolve_problem(prob)
     hidden = prob.hidden
     k = ps.k
     d = ps.d
@@ -632,17 +623,17 @@ def multi_projection_driver(prob: SynthesisProblem,
             evidence, (q_neg, q_pos), planes,
         )
 
-    idx_p, idx_q = predicate.witness(q_neg, q_pos)
+    idx_p, idx_q = predicate.witness(q_neg, q_pos, evidence)
     star_idx = np.concatenate([neg_idx[idx_p], pos_idx[idx_q]])
     witness_size = len(star_idx)
     star_pts = ps.points[star_idx]
-    a_perp = complement_basis(basis_a, tols) if basis_a.count else OrthoBasis(np.eye(d))
+    a_perp = complement_basis(basis_a) if basis_a.count else OrthoBasis(np.eye(d))
 
     basis = None
     if witness_size >= 2:
         try:
-            span_b = orthonormalize(star_pts[1:] - star_pts[0], tols)
-            cand = subspace_intersection(span_b, a_perp, tols)
+            span_b = orthonormalize(star_pts[1:] - star_pts[0])
+            cand = subspace_intersection(span_b, a_perp)
             if cand.count <= min(witness_size - k, d - k + 1):
                 basis = cand
         except SepProjError:
@@ -651,27 +642,28 @@ def multi_projection_driver(prob: SynthesisProblem,
         basis = OrthoBasis.empty(d)
 
     def attempt(candidate: OrthoBasis):
+        """(projected data, failure evidence), or None when the predicate
+        still holds after projecting along ``candidate``."""
         projected = ps.with_points(project_points(ps.points, candidate))
-        fl, _ = predicate.holds(projected.side(hidden, -1), projected.side(hidden, +1))
-        return (None if fl else projected)
+        fl, ev = predicate.holds(projected.side(hidden, -1), projected.side(hidden, +1))
+        return None if fl else (projected, ev)
 
-    projected = attempt(basis) if basis is not None else None
-    if projected is None:
+    outcome = attempt(basis) if basis is not None else None
+    if outcome is None:
         # fall back to projecting fully onto the keep-normal span
         basis = a_perp
-        projected = attempt(basis)
-        if projected is None:
+        outcome = attempt(basis)
+        if outcome is None:
             raise DegeneratePositionError(
                 "predicate survived even the full projection onto the span; "
                 "evidence and witness disagree"
             )
-    _, fail_evidence = predicate.holds(projected.side(hidden, -1),
-                                       projected.side(hidden, +1))
+    projected, fail_evidence = outcome
     residual = float(np.abs(basis_a.vectors @ basis.vectors.T).max()) \
         if basis_a.count and basis.count else 0.0
-    keep_results = _keep_certificates(projected, keep, planes, tols) if basis.count else {}
+    keep_results = _keep_certificates(projected, keep, planes) if basis.count else {}
     hidden_result = linear_separability(projected.side(hidden, -1),
-                                        projected.side(hidden, +1), tols=tols)
+                                        projected.side(hidden, +1))
     return ProjectionOutcome(basis, projected, hidden_result, keep_results,
                              planes, residual, witness=star_idx,
                              evidence=fail_evidence)
@@ -701,8 +693,8 @@ class ProjectionReport:
 
 
 def verify_after_projection(ps: LabeledPointSet, basis: OrthoBasis,
-                            keep_planes: dict[int, Hyperplane] | None = None,
-                            tols: Tolerances = DEFAULT_TOLS) -> ProjectionReport:
+                            keep_planes: dict[int, Hyperplane] | None = None
+                            ) -> ProjectionReport:
     """Re-derive the separability state of every property on the projected
     data, with certificates, margins, and the orthogonality residuals of the
     basis against the keep-plane normals."""
@@ -711,7 +703,7 @@ def verify_after_projection(ps: LabeledPointSet, basis: OrthoBasis,
     for i in range(ps.k):
         pn = projected.side(i, -1)
         pp = projected.side(i, +1)
-        res = linear_separability(pn, pp, strict=False, tols=tols)
+        res = linear_separability(pn, pp, strict=False)
         strict = res.separable and res.strict
         weak = res.separable
         margin = res.margin if res.separable else None

@@ -3,7 +3,6 @@ import pytest
 
 from sepproj.errors import AllDegenerateError, DegenerateSimplexError
 from sepproj.geometry import (
-    AffineMap,
     Flat,
     OrthoBasis,
     affine_rank,
@@ -169,19 +168,6 @@ class TestBarycentric:
         x = w @ S
         c = barycentric_coords(x, S)
         assert np.linalg.norm(c @ S - x) <= 1e-9
-
-
-class TestAffineMap:
-    def test_identity(self):
-        A = AffineMap(np.eye(3), np.zeros(3))
-        P = np.arange(12.0).reshape(4, 3)
-        assert np.allclose(A(P), P)
-
-    def test_translation(self):
-        t = np.array([1.0, -2.0])
-        A = AffineMap(np.eye(2), t)
-        P = np.zeros((3, 2))
-        assert np.allclose(A(P), np.tile(t, (3, 1)))
 
 
 class TestSubspaceHelpers:

@@ -279,7 +279,7 @@ class TestBCSeparability:
         P = rng.normal(size=(10, 2))
         Q = rng.normal(size=(10, 2))
         with pytest.raises(BruteForceCapError):
-            bc_separable_bruteforce(P, Q, 1, 2, max_points=14)
+            bc_separable_bruteforce(P, Q, 1, 2)
 
     def test_subset_monotonicity(self):
         rng = np.random.default_rng(22)

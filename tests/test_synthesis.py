@@ -263,6 +263,37 @@ class TestDriver:
                                       out.projected.side(0, +1))
             assert not res.separable
 
+    @pytest.mark.parametrize("make", [linear_predicate, one_infty_predicate],
+                             ids=["linear", "1inf"])
+    def test_predicate_runs_once_per_input(self, make):
+        # the driver keeps the evidence of each failed holds call: no input is
+        # tested twice, the witness gets the evidence of the call it follows,
+        # and the outcome carries the evidence of the last one
+        base = make()
+        for seed in range(6):
+            inputs, returned, given = [], [], []
+
+            def holds(P, Q):
+                inputs.append((P.shape, P.tobytes(), Q.shape, Q.tobytes()))
+                out = base.holds(P, Q)
+                returned.append(out[1])
+                return out
+
+            def witness(P, Q, evidence):
+                given.append(evidence)
+                return base.witness(P, Q, evidence)
+
+            pred = synthesis.SeparabilityPredicate(base.name, holds, witness)
+            ps, planes = gen_random_all_labels(8, 4, 2, 0.15, 300 + seed)
+            out = multi_projection_driver(SynthesisProblem(ps, 0, {1: planes[1]}), pred)
+            assert len(set(inputs)) == len(inputs)
+            if out.impossible:
+                assert len(inputs) == 1 and not given
+                continue
+            assert 2 <= len(inputs) <= 3
+            assert len(given) == 1 and given[0] is returned[0]
+            assert out.evidence is returned[-1]
+
     def test_bc_predicate_witness_search(self):
         # planted instance: hidden property inseparable under (1,1) after the
         # span projection; witness route must confirm

@@ -1,7 +1,7 @@
 """Shared fixture generators for the test suite."""
 import numpy as np
 
-from sepproj.config import DEFAULT_TOLS
+from sepproj.config import GEOM_TOL, LP_TOL
 from sepproj.errors import ActuallySeparableError
 from sepproj.lp import solve_lp
 from sepproj.separability import check_common_point_certificate, point_in_hull
@@ -53,7 +53,7 @@ def mutual_containment_pair(rng, d, n, m):
     return P, Q
 
 
-def deep_common_point(P, Q, tols=DEFAULT_TOLS):
+def deep_common_point(P, Q):
     """Common hull point maximizing the smallest convex coefficient.
 
     Returns (x, lam, mu, depth); depth > 0 means every input point carries
@@ -78,7 +78,7 @@ def deep_common_point(P, Q, tols=DEFAULT_TOLS):
     cost[n + m] = -1.0
     scale = max(1.0, float(np.abs(P).max()), float(np.abs(Q).max()))
     res = solve_lp(cost, A_ub=A_ub, b_ub=np.zeros(n + m), A_eq=A_eq, b_eq=b_eq,
-                   feas_tol=tols.lp * scale)
+                   feas_tol=LP_TOL * scale)
     if not res.ok:
         raise ActuallySeparableError("convex hulls do not intersect")
     lam = np.clip(res.x[:n], 0.0, None)
@@ -87,5 +87,5 @@ def deep_common_point(P, Q, tols=DEFAULT_TOLS):
     mu /= mu.sum()
     x = 0.5 * (lam @ P + mu @ Q)
     check_common_point_certificate(P, Q, x, lam, mu,
-                                   tol=max(tols.geom, 10 * tols.lp * scale))
+                                   tol=max(GEOM_TOL, 10 * LP_TOL * scale))
     return x, lam, mu, float(res.x[n + m])
