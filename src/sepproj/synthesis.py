@@ -6,14 +6,15 @@ keep, any projection along a vector parallel to every H_i keeps those exact
 separators valid.  This module constructs such vectors that simultaneously
 destroy the separability of the hidden property:
 
-* ``construct_eliminating_projection`` builds one unit vector by reducing a
-  common hull point of the side-coordinate images to a small witness, then
-  aiming the projection so the witness collapses onto a single flat.
+* ``construct_eliminating_projection`` reduces a common hull point of the
+  side-coordinate images to a small witness and projects along the one
+  direction in the span of the witness differences orthogonal to every keep
+  normal; no anchor point is involved and the witness collapses.
 * ``perturb_general_position`` nudges that vector so the projected data is
   not even non-strictly separable and is free of the collapse degeneracy.
 * ``multi_projection_driver`` generalizes to any well-behaved separability
-  predicate with a witness extractor, emitting an orthonormal family of
-  projection vectors or a certified impossibility.
+  predicate with a witness extractor, emitting the same kind of basis for
+  its own witness (possibly several vectors), or a certified impossibility.
 """
 from __future__ import annotations
 
@@ -24,11 +25,10 @@ from typing import Callable
 
 import numpy as np
 
-from .config import GEOM_TOL, LP_TOL, RANK_TOL
+from .config import LP_TOL, RANK_TOL
 from .data import LabeledPointSet
 from .errors import (
     ActuallySeparableError,
-    AllDegenerateError,
     BadParamsError,
     DegeneratePositionError,
     EmptySubspaceError,
@@ -40,13 +40,11 @@ from .errors import (
     WitnessSearchExceededError,
 )
 from .geometry import (
-    Flat,
     OrthoBasis,
     affine_rank,
     barycentric_coords,
     complement_basis,
     flat_coordinates,
-    intersect_flats,
     orthonormalize,
     project_points,
     subspace_intersection,
@@ -122,14 +120,8 @@ def max_margin_planes(ps: LabeledPointSet, props) -> dict[int, Hyperplane]:
     return planes
 
 
-def _side_coordinates(ps: LabeledPointSet, planes: dict[int, Hyperplane],
-                      order: list[int]) -> np.ndarray:
-    """Signed side values of every point against each keep plane (n, k-1)."""
-    cols = [planes[i].side_values(ps.points) for i in order]
-    return np.column_stack(cols) if cols else np.zeros((ps.n, 0))
-
-
 def _resolve_problem(prob: SynthesisProblem):
+    """Inputs, keep-normal basis, hidden side rows and their keep side values."""
     ps = prob.data
     keep = prob.keep_indices()
     planes = dict(prob.keep_planes)
@@ -142,14 +134,17 @@ def _resolve_problem(prob: SynthesisProblem):
             raise NotSeparableInputError(
                 f"supplied plane for property {i} does not strictly separate it"
             )
-    normals = np.array([planes[i].normal for i in keep]) if keep else np.zeros((0, ps.d))
     if keep:
-        basis_a = orthonormalize(normals)
+        basis_a = orthonormalize(np.array([planes[i].normal for i in keep]))
         if basis_a.count != len(keep):
             raise DegeneratePositionError("keep-plane normals are linearly dependent")
     else:
         basis_a = OrthoBasis.empty(ps.d)
-    return ps, keep, planes, normals, basis_a
+    side = np.column_stack([planes[i].side_values(ps.points) for i in keep]) \
+        if keep else np.zeros((ps.n, 0))
+    neg_idx = ps.side_indices(prob.hidden, -1)
+    pos_idx = ps.side_indices(prob.hidden, +1)
+    return ps, keep, planes, basis_a, neg_idx, pos_idx, side[neg_idx], side[pos_idx]
 
 
 def _keep_certificates(projected: LabeledPointSet, keep,
@@ -170,15 +165,41 @@ def _keep_certificates(projected: LabeledPointSet, keep,
     return out
 
 
+def _witness_basis(ps, star_idx, basis_a: OrthoBasis) -> OrthoBasis:
+    """Basis of span(witness point differences) ∩ complement(``basis_a``):
+    the directions that collapse the witness parallel to every keep plane.
+    Empty for one point; AllDegenerateError when the points coincide."""
+    if len(star_idx) < 2:
+        return OrthoBasis.empty(ps.d)
+    star_pts = ps.points[star_idx]
+    return subspace_intersection(orthonormalize(star_pts[1:] - star_pts[0]),
+                                 complement_basis(basis_a))
+
+
+def _projection_outcome(basis, projected, hidden_result, keep, planes, basis_a,
+                        witness, evidence=None) -> ProjectionOutcome:
+    """Outcome of projecting along ``basis``: the caller's hidden result, a
+    certificate per keep plane and the largest |normal . basis vector|."""
+    residual = float(np.abs(basis_a.vectors @ basis.vectors.T).max()) \
+        if basis_a.count and basis.count else 0.0
+    keep_results = _keep_certificates(projected, keep, planes) if basis.count else {}
+    return ProjectionOutcome(basis, projected, hidden_result, keep_results,
+                             planes, residual, witness=witness, evidence=evidence)
+
+
 def construct_eliminating_projection(prob: SynthesisProblem):
     """One separation-preserving unit vector whose projection makes the hidden
     property lose strict linear separability, certified on the output.
+
+    The vector is the one direction in the span of the Kirchberger witness's
+    point differences orthogonal to every keep normal; no anchor is involved,
+    so it depends only on the witness set, whose certificate carries over.
 
     Requires all properties strictly separable.  With every label combination
     present the construction always succeeds; otherwise it can return
     ``ImpossibleOutcome``.
     """
-    ps, keep, planes, normals, basis_a = _resolve_problem(prob)
+    ps, keep, planes, basis_a, neg_idx, pos_idx, q_neg, q_pos = _resolve_problem(prob)
     hidden = prob.hidden
     hres = linear_separability(ps.side(hidden, -1), ps.side(hidden, +1))
     if not (hres.separable and hres.strict):
@@ -186,17 +207,11 @@ def construct_eliminating_projection(prob: SynthesisProblem):
     if ps.uses_all_labels() and ps.d < ps.k:
         raise DegeneratePositionError("all labels present requires d >= k")
 
-    side = _side_coordinates(ps, planes, keep)      # (n, k-1)
-    neg_idx = ps.side_indices(hidden, -1)
-    pos_idx = ps.side_indices(hidden, +1)
-    q_neg = side[neg_idx]
-    q_pos = side[pos_idx]
-
     if ps.k == 1:
         # no separators to keep: collapse along the hidden property's own
         # max-margin normal, which folds the two sides together
-        w = hres.hyperplane.normal
-        return _finish_single(prob, ps, keep, planes, basis_a, w, None)
+        basis = OrthoBasis(hres.hyperplane.normal[None, :])
+        return _finish_single(prob, ps, keep, planes, basis_a, basis, None)
 
     # the hidden property must overlap after projecting onto the span of the
     # keep normals; with all labels present both hulls contain the origin
@@ -218,45 +233,20 @@ def construct_eliminating_projection(prob: SynthesisProblem):
     witness = kirchberger_reduce(q_neg, q_pos, x0, lam, mu)
 
     star_idx = np.concatenate([neg_idx[witness.idx_p], pos_idx[witness.idx_q]])
-    p_star_pos = int(np.argmin(star_idx))
-    p_star = ps.points[star_idx[p_star_pos]]
-    others = ps.points[np.delete(star_idx, p_star_pos)]
-
-    try:
-        dirs = orthonormalize(others[1:] - others[0]) if len(others) > 1 \
-            else OrthoBasis.empty(ps.d)
-    except AllDegenerateError as exc:
-        raise DegeneratePositionError(f"witness flat is degenerate: {exc}") from exc
-    f1 = Flat(others[0], dirs)
-    f2 = Flat(p_star, complement_basis(basis_a))
-    r = _intersection_point(f1, f2)
-    w_raw = r - p_star
-    if np.linalg.norm(w_raw) <= GEOM_TOL:
-        raise DegeneratePositionError("witness point already lies on the target flat")
-    w = w_raw / np.linalg.norm(w_raw)
-    if basis_a.count:
-        w = w - basis_a.vectors.T @ (basis_a.vectors @ w)
-        w = w / np.linalg.norm(w)
+    basis = _witness_basis(ps, star_idx, basis_a)
+    if basis.count != 1:
+        raise DegeneratePositionError(f"witness leaves {basis.count} directions, not one")
 
     lam_full = np.zeros(len(neg_idx))
     lam_full[witness.idx_p] = witness.lam
     mu_full = np.zeros(len(pos_idx))
     mu_full[witness.idx_q] = witness.mu
-    return _finish_single(prob, ps, keep, planes, basis_a, w, (lam_full, mu_full),
+    return _finish_single(prob, ps, keep, planes, basis_a, basis, (lam_full, mu_full),
                           witness_idx=star_idx)
 
 
-def _intersection_point(f1: Flat, f2: Flat) -> np.ndarray:
-    out = intersect_flats(f1, f2)
-    if out is None:
-        raise DegeneratePositionError("witness flats do not intersect")
-    if isinstance(out, Flat):
-        raise DegeneratePositionError("witness flats intersect in a positive-dimensional flat")
-    return out
-
-
-def _finish_single(prob, ps, keep, planes, basis_a, w, cert, witness_idx=None):
-    basis = OrthoBasis(w[None, :])
+def _finish_single(prob, ps, keep, planes, basis_a, basis, cert, witness_idx=None):
+    """Project along ``basis``; the hidden result is ``cert`` if it holds."""
     projected = ps.with_points(project_points(ps.points, basis))
     pn = projected.side(prob.hidden, -1)
     pp = projected.side(prob.hidden, +1)
@@ -275,10 +265,8 @@ def _finish_single(prob, ps, keep, planes, basis_a, w, cert, witness_idx=None):
             raise DegeneratePositionError(
                 "projected hidden property is unexpectedly still strictly separable"
             )
-    residual = float(np.abs(basis_a.vectors @ w).max()) if basis_a.count else 0.0
-    keep_results = _keep_certificates(projected, keep, planes)
-    return ProjectionOutcome(basis, projected, hidden_result, keep_results,
-                             planes, residual, witness=witness_idx)
+    return _projection_outcome(basis, projected, hidden_result, keep, planes, basis_a,
+                               witness_idx)
 
 
 # ---------------------------------------------------------------------------
@@ -604,15 +592,8 @@ def multi_projection_driver(prob: SynthesisProblem,
     orthogonal to the span transfers the failure to the projected data.  The
     emitted basis size never exceeds min(|witness| - k, d - k + 1).
     """
-    ps, keep, planes, normals, basis_a = _resolve_problem(prob)
+    ps, keep, planes, basis_a, neg_idx, pos_idx, q_neg, q_pos = _resolve_problem(prob)
     hidden = prob.hidden
-    k = ps.k
-    d = ps.d
-    side = _side_coordinates(ps, planes, keep)
-    neg_idx = ps.side_indices(hidden, -1)
-    pos_idx = ps.side_indices(hidden, +1)
-    q_neg = side[neg_idx]
-    q_pos = side[pos_idx]
 
     flag, evidence = predicate.holds(q_neg, q_pos)
     if flag:
@@ -625,21 +606,13 @@ def multi_projection_driver(prob: SynthesisProblem,
 
     idx_p, idx_q = predicate.witness(q_neg, q_pos, evidence)
     star_idx = np.concatenate([neg_idx[idx_p], pos_idx[idx_q]])
-    witness_size = len(star_idx)
-    star_pts = ps.points[star_idx]
-    a_perp = complement_basis(basis_a) if basis_a.count else OrthoBasis(np.eye(d))
-
-    basis = None
-    if witness_size >= 2:
-        try:
-            span_b = orthonormalize(star_pts[1:] - star_pts[0])
-            cand = subspace_intersection(span_b, a_perp)
-            if cand.count <= min(witness_size - k, d - k + 1):
-                basis = cand
-        except SepProjError:
+    size = len(star_idx)
+    try:
+        basis = _witness_basis(ps, star_idx, basis_a)
+        if size >= 2 and basis.count > min(size - ps.k, ps.d - ps.k + 1):
             basis = None
-    else:
-        basis = OrthoBasis.empty(d)
+    except SepProjError:
+        basis = None
 
     def attempt(candidate: OrthoBasis):
         """(projected data, failure evidence), or None when the predicate
@@ -651,7 +624,7 @@ def multi_projection_driver(prob: SynthesisProblem,
     outcome = attempt(basis) if basis is not None else None
     if outcome is None:
         # fall back to projecting fully onto the keep-normal span
-        basis = a_perp
+        basis = complement_basis(basis_a)
         outcome = attempt(basis)
         if outcome is None:
             raise DegeneratePositionError(
@@ -659,14 +632,11 @@ def multi_projection_driver(prob: SynthesisProblem,
                 "evidence and witness disagree"
             )
     projected, fail_evidence = outcome
-    residual = float(np.abs(basis_a.vectors @ basis.vectors.T).max()) \
-        if basis_a.count and basis.count else 0.0
-    keep_results = _keep_certificates(projected, keep, planes) if basis.count else {}
-    hidden_result = linear_separability(projected.side(hidden, -1),
-                                        projected.side(hidden, +1))
-    return ProjectionOutcome(basis, projected, hidden_result, keep_results,
-                             planes, residual, witness=star_idx,
-                             evidence=fail_evidence)
+    # linear_predicate's evidence is already the strict test of these sides
+    hidden_result = fail_evidence if isinstance(fail_evidence, SeparationResult) \
+        else linear_separability(projected.side(hidden, -1), projected.side(hidden, +1))
+    return _projection_outcome(basis, projected, hidden_result, keep, planes, basis_a,
+                               star_idx, evidence=fail_evidence)
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ from sepproj.errors import (
     NotSeparableInputError,
     TooFewPointsError,
 )
-from sepproj.geometry import OrthoBasis, flat_coordinates, project_points
+from sepproj.geometry import OrthoBasis, affine_rank, flat_coordinates, project_points
 from sepproj.separability import linear_separability, one_infty_separable, weak_separator
 from sepproj.synthesis import (
     ImpossibleOutcome,
@@ -85,6 +85,14 @@ class TestConstructProjection:
                 assert ri.separable and ri.strict
             assert out.hidden_result.separable is False
             assert out.hidden_result.recombination_residual(pn, pp) <= 1e-7
+            # (d) w lies in the span of the witness differences, and
+            # projecting along it makes the witness affinely dependent
+            wit = ps.points[out.witness]
+            diffs = wit[1:] - wit[0]
+            coef = np.linalg.lstsq(diffs.T, w, rcond=None)[0]
+            scale = max(1.0, float(np.abs(wit).max()))
+            assert np.linalg.norm(diffs.T @ coef - w) <= 1e-9 * scale
+            assert affine_rank(proj[out.witness]) < len(out.witness) - 1
             cases += 1
         assert cases == 12
 
@@ -163,17 +171,18 @@ class TestPerturbation:
         assert not res.separable
         res.validate(Pc, Qc)
 
-    # w_new and info as recorded once the LPs ran on HiGHS, whose optimal
-    # vertices choose the eliminating direction and the selected supports;
-    # both must be reproduced bit for bit
+    # w_new and info as recorded with the LPs on HiGHS, whose optimal
+    # vertices choose the witness and the selected supports, and with the
+    # eliminating direction taken from the witness basis; both must be
+    # reproduced bit for bit
     _GOLDEN = {
-        0: ([-0.7123236092087666, 0.5609003020240241, 0.42188378370489077],
+        0: ([0.7123236092087664, -0.560900302024024, -0.421883783704891],
             {"selected_p": [0, 1], "selected_q": [0, 1], "anchor": (1, 0),
-             "delta": 3.814697265625e-06, "distance": 8.345239868089172e-07,
+             "delta": 3.814697265625e-06, "distance": 8.34523986221109e-07,
              "attempts": 3}),
-        1: ([0.9568940550467401, -0.2849612212908625, -0.05613260885284672],
+        1: ([-0.9568940550467399, 0.2849612212908626, 0.056132608852846766],
             {"selected_p": [0, 1], "selected_q": [0, 1], "anchor": (0, 0),
-             "delta": 1.9073486328125e-06, "distance": 5.468984484245316e-07,
+             "delta": 1.9073486328125e-06, "distance": 5.468984485547182e-07,
              "attempts": 3}),
     }
 
@@ -293,6 +302,25 @@ class TestDriver:
             assert 2 <= len(inputs) <= 3
             assert len(given) == 1 and given[0] is returned[0]
             assert out.evidence is returned[-1]
+
+    def test_linear_evidence_is_the_hidden_result(self, monkeypatch):
+        # the failed strict test on the projected sides is the outcome's
+        # hidden result: one strict test per distinct input, none repeated
+        real = synthesis.linear_separability
+        for seed in range(6):
+            inputs = []
+
+            def counted(P, Q, *args, **kwargs):
+                inputs.append((P.shape, P.tobytes(), Q.shape, Q.tobytes()))
+                return real(P, Q, *args, **kwargs)
+
+            monkeypatch.setattr(synthesis, "linear_separability", counted)
+            ps, planes = gen_random_all_labels(8, 4, 2, 0.15, 300 + seed)
+            out = multi_projection_driver(SynthesisProblem(ps, 0, {1: planes[1]}),
+                                          linear_predicate())
+            assert not out.impossible
+            assert len(inputs) == len(set(inputs)) == 2
+            assert out.hidden_result is out.evidence
 
     def test_bc_predicate_witness_search(self):
         # planted instance: hidden property inseparable under (1,1) after the
