@@ -19,22 +19,16 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable
 
 import numpy as np
 
 from . import _kernels
-from .config import LP_TOL, RANK_TOL
+from .config import RANK_TOL
 from .data import LabeledPointSet
-from .errors import BadParamsError, EmptySubspaceError
-from .geometry import (
-    OrthoBasis,
-    complement_basis,
-    flat_coordinates,
-    orthonormalize,
-)
-from .separability import max_slack_separator
+from .errors import BadParamsError, EmptySubspaceError, NotSeparableInputError
+from .geometry import OrthoBasis, complement_basis, orthonormalize
+from .separability import linear_separability
 
 _log = logging.getLogger(__name__)
 
@@ -384,66 +378,106 @@ class SlackOracle:
         return self.slack(w) >= 0.0
 
 
-DEPTH_DIRECTIONS = 1024   # sampled directions of the penetration depth
-KEEP_FLOOR = 1e-7         # slack a kept property must keep after projection
+KEEP_FLOOR = 1e-7         # cone separation (a sine, so unitless) a kept
+                          # property must keep after projection
 
 
-@lru_cache(maxsize=32)
-def _interval_directions(m: int) -> np.ndarray:
-    """Deterministic grid of ``DEPTH_DIRECTIONS`` unit directions in R^m,
-    shared read-only."""
-    if m == 1:
-        V = np.array([[1.0]])
-    elif m == 2:
-        ang = np.pi * np.arange(DEPTH_DIRECTIONS) / DEPTH_DIRECTIONS
-        V = np.column_stack([np.cos(ang), np.sin(ang)])
+def _cone_normals(P, Q, c) -> np.ndarray:
+    """Unit outward facet normals n_j of cone(D), D = conv(Q) - conv(P): the
+    cone is {x : n_j . x <= 0 for every j} (up to sign, see below).  c is a
+    unit strict separator, c . (q - p) > 0 for every pair.
+
+    The generators q - p are scaled onto the plane {x : c . x = 1}, given
+    coordinates y in an orthonormal basis B of its complement, and the
+    cross-section's facets a . y + b <= 0 lift to the cone normals
+    B^T a + b c.  A cross-section spanning fewer than d - 1 dimensions is
+    taken inside its affine hull, and each complement normal e of that hull
+    adds the two facets +-(e . (y - y0)) <= 0.  One-dimensional cross-sections
+    need no hull: their facets are the interval's two ends.  A zero-dimensional
+    one (all generators parallel) leaves the line through the cone's ray,
+    which is the same set as the ray for the +-w test that uses it."""
+    G = (Q[None, :, :] - P[:, None, :]).reshape(-1, P.shape[1])
+    B = _reflector_complement(c, 0.0)
+    Y = (G @ B.T) / (G @ c)[:, None]
+    y0 = Y.mean(axis=0)
+    # R of a QR factorization has the singular values and right singular
+    # vectors of Y - y0, without the |P| |Q| square left factor
+    _, sv, Vt = np.linalg.svd(np.linalg.qr(Y - y0, mode="r"))
+    r = int((sv > RANK_TOL * max(1.0, float(np.abs(Y).max(initial=0.0)))).sum())
+    Z = (Y - y0) @ Vt[:r].T
+    if r >= 2:
+        from scipy.spatial import ConvexHull
+        eq = ConvexHull(Z).equations
+        A, b = eq[:, :-1], eq[:, -1]
+    elif r == 1:
+        A, b = np.array([[1.0], [-1.0]]), np.array([-Z.max(), Z.min()])
     else:
-        rng = np.random.default_rng(0x5EED)
-        V = rng.normal(size=(DEPTH_DIRECTIONS, m))
-        V = V / np.linalg.norm(V, axis=1, keepdims=True)
-    V.setflags(write=False)
-    return V
+        A, b = np.zeros((0, 0)), np.zeros(0)
+    A = np.vstack([A @ Vt[:r], Vt[r:], -Vt[r:]])
+    b = np.concatenate([b, np.zeros(2 * (Vt.shape[0] - r))]) - A @ y0
+    N = A @ B + b[:, None] * c[None, :]
+    return N / np.linalg.norm(N, axis=1, keepdims=True)
 
 
-def _interval_depth(A, B) -> float:
-    """Minimum directional range-overlap of two point clouds: a penetration
-    depth that is zero exactly when some direction separates them (weakly)."""
-    dirs = _interval_directions(A.shape[1])
-    sa = A @ dirs.T
-    sb = B @ dirs.T
-    lo = np.maximum(sa.min(axis=0), sb.min(axis=0))
-    hi = np.minimum(sa.max(axis=0), sb.max(axis=0))
-    return float(max(0.0, (hi - lo).min()))
+def _cone_separation(N, w) -> float:
+    """min(max_j n_j . w, max_j -n_j . w): positive exactly when neither w
+    nor -w lies in the cone with facet normals N.  Inside it, it is minus the
+    sine of the angle to the nearest facet plane.  With no facets (d = 1)
+    every direction is inside, at the extreme value -1."""
+    t = N @ w
+    return float(min(t.max(initial=-1.0), -t.min(initial=1.0)))
 
 
 def separability_feasibility(ps: LabeledPointSet, keep: tuple[int, ...],
                              require_hidden_overlap: bool = False,
                              hidden: int = 0) -> SlackOracle:
-    """Feasibility over directions w: after projecting along w, every property
-    in ``keep`` stays strictly separable with slack at least ``KEEP_FLOOR``
-    (and, optionally, the hidden property does not stay strictly separable).
+    """Feasibility over unit directions w: after projecting along w, every
+    property in ``keep`` stays strictly separable with slack at least
+    ``KEEP_FLOOR`` (and, optionally, the hidden property does not stay
+    strictly separable).
 
-    The signed slack is the LP separation slack on the feasible side and the
-    negated penetration depth on the violated side, so a penalized climb sees
-    a genuine gradient in both regimes.
+    Projecting along w makes property i lose strict separability exactly
+    when w or -w lies in cone(D_i), D_i = conv(Q_i) - conv(P_i) (the
+    projection's image contains 0 exactly when the line through w meets
+    D_i).  So the slack of a kept property is ``_cone_separation`` of its
+    cone's facet normals at w, minus ``KEEP_FLOOR``: a unitless, angular
+    quantity whose sign is the exact verdict, and which inside the cone still
+    grows towards the boundary, so a penalized climb sees a gradient in both
+    regimes.  The hidden property contributes minus its separation.  Each
+    call is one matrix-vector product per property.
+
+    Each property's unprojected separability and separator come from one
+    ``linear_separability`` call here.  A kept property that is not strictly
+    separable raises ``NotSeparableInputError``: no projection separates
+    intersecting hulls.  A hidden property that is not strictly separable
+    overlaps after every projection, so it adds no constraint.  The facets
+    come from qhull at the first call, when ``scipy.spatial`` is imported.
     """
-    def signed_separation(flat_neg, flat_pos) -> float:
-        s, _, _ = max_slack_separator(flat_neg, flat_pos)
-        if s > LP_TOL:
-            return s
-        return -_interval_depth(flat_neg, flat_pos)
+    def separator(i):
+        P, Q = ps.side(i, -1), ps.side(i, +1)
+        res = linear_separability(P, Q)
+        return P, Q, (res.hyperplane.normal if res.separable else None)
+
+    cones = []  # (P, Q, separator, sign of the separation in the slack)
+    for i in keep:
+        P, Q, c = separator(i)
+        if c is None:
+            raise NotSeparableInputError(
+                f"kept property {i} is not strictly separable before projection")
+        cones.append((P, Q, c, 1.0))
+    if require_hidden_overlap:
+        P, Q, c = separator(hidden)
+        if c is not None:
+            cones.append((P, Q, c, -1.0))
+    normals = []  # filled at the first call
 
     def slack_fn(w: np.ndarray) -> float:
-        flat = flat_coordinates(ps.points, OrthoBasis(w[None, :]))
+        if not normals and cones:
+            normals.extend((_cone_normals(P, Q, c), sign) for P, Q, c, sign in cones)
         s = np.inf
-        for i in keep:
-            si = signed_separation(flat[ps.labels[i] == -1],
-                                   flat[ps.labels[i] == +1]) - KEEP_FLOOR
-            s = min(s, si)
-        if require_hidden_overlap:
-            sh = signed_separation(flat[ps.labels[hidden] == -1],
-                                   flat[ps.labels[hidden] == +1])
-            s = min(s, -sh)  # feasible when the hidden sides overlap or touch
+        for N, sign in normals:
+            sep = _cone_separation(N, w)
+            s = min(s, sep - KEEP_FLOOR if sign > 0 else -sep)
         return s
 
     return SlackOracle(slack_fn)
@@ -481,7 +515,8 @@ def _climb(ps, spec, w0, keep_normals, oracle: SlackOracle | None, hidden):
     ``MAX_ITER`` iterations, a step below ``STEP_MIN``, or, for the svm
     score, a best feasible value within ``ACCEPT_MARGIN`` of the engine's
     ceiling 2 min(n+, n-) / n.  No value exceeds that ceiling, so past it a
-    step could be accepted only on inner-solver noise.
+    step could be accepted only on inner-solver noise, and a best feasible
+    value within ``ACCEPT_MARGIN`` of it is returned as the ceiling itself.
 
     The gradient step is tried first (greedy); when rejected, an eight-point
     tangent compass is probed in order of decreasing value.  The oracle's
@@ -557,6 +592,8 @@ def _climb(ps, spec, w0, keep_normals, oracle: SlackOracle | None, hidden):
         iterations = MAX_ITER
     if best_feasible is not None:
         w, fval = best_feasible
+        if ceiling is not None and fval >= ceiling - ACCEPT_MARGIN:
+            fval = ceiling  # certified: no direction scores above it
     _log.debug("%s climb stopped (%s) after %d iterations, %d evaluations, "
                "value %.17g", spec.kind, reason, iterations, engine.evaluations,
                fval)
@@ -578,9 +615,10 @@ def maximize_overlap(ps: LabeledPointSet, spec: OverlapSpec,
     No svm value exceeds 2 min(n+, n-) / n, the score at v = 0 with the best
     offset (n+ and n- are the hidden property's side sizes), so an svm climb
     stops once its best feasible value is within ``ACCEPT_MARGIN`` of that
-    bound: it has found a global maximum.  Each climb logs its stop reason,
-    iterations, evaluations and final value at DEBUG under
-    ``sepproj.overlap``.
+    bound: it has found a global maximum, and reports the bound itself as its
+    value (a value read off the inner solver can pass it by rounding).  Each
+    climb logs its stop reason, iterations, evaluations and final value at
+    DEBUG under ``sepproj.overlap``.
     """
     if starts < 1:
         raise BadParamsError("needs at least one start")

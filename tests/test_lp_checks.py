@@ -67,7 +67,8 @@ def test_binding_loads_at_first_lp_without_scipy_optimize():
     # importing scipy.optimize takes about half a second: sepproj loads only
     # the HiGHS extension, at its first LP, and a later scipy.optimize import
     # reuses it.  scipy.spatial (qhull) takes as long, and loads only at the
-    # first interval score over two or more directions
+    # first interval score over two or more directions; building a
+    # feasibility oracle does not load it (its first call does)
     code = (
         "import sys\n"
         "import numpy as np\n"
@@ -84,6 +85,10 @@ def test_binding_loads_at_first_lp_without_scipy_optimize():
         "assert solve_lp([1.0], bounds=[(2.0, None)]).x[0] == 2.0\n"
         "loaded = sys.modules[core]\n"
         "assert 'scipy.optimize' not in sys.modules\n"
+        "from sepproj.constructions import gen_cube_two_maxima\n"
+        "from sepproj.overlap import separability_feasibility\n"
+        "feasible = separability_feasibility(gen_cube_two_maxima(0.2), (1,), True)\n"
+        "assert 'scipy.spatial' not in sys.modules\n"
         "f_value(sepproj.LabeledPointSet(np.eye(3), [[-1, 1, 1]]),\n"
         "        np.array([0.0, 0.0, 1.0]), spec)\n"
         "assert 'scipy.spatial' in sys.modules\n"

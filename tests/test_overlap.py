@@ -12,7 +12,6 @@ from sepproj.data import LabeledPointSet
 from sepproj.errors import BadParamsError, EmptySubspaceError
 from sepproj.geometry import OrthoBasis, orthonormalize, project_points
 from sepproj.overlap import (
-    ACCEPT_MARGIN,
     OverlapSpec,
     _SvmClimbEngine,
     f_value,
@@ -23,6 +22,7 @@ from sepproj.overlap import (
     separability_feasibility,
 )
 from sepproj.constructions import gen_cube_two_maxima
+from util import planted_instance as _planted_instance
 
 
 def _labeled(points, labels):
@@ -297,22 +297,6 @@ class TestMaximize:
 # Householder reflector per direction; the others when its minimum over
 # directions became exact
 
-
-def _planted_instance(seed, n, d, k, margin=0.15):
-    """n points at distance >= margin from k random planes through the
-    origin, labeled by side; returns the set and the unit plane normals."""
-    rng = np.random.default_rng(seed)
-    N = rng.normal(size=(k, d))
-    N /= np.linalg.norm(N, axis=1, keepdims=True)
-    pts = []
-    while len(pts) < n:
-        x = rng.normal(size=d)
-        if np.abs(N @ x).min() >= margin:
-            pts.append(x)
-    P = np.array(pts)
-    return LabeledPointSet(P, np.where(P @ N.T > 0, 1, -1).T), N
-
-
 # name: (seed, n, d, k, keep normals, starts, keep);
 # the reduced space of the inner score has d - 1 - (keep normals) dimensions
 _INTERVAL_CASES = {
@@ -563,9 +547,10 @@ class TestIntervalDegenerate:
 
 # ---------------------------------------------------------------------------
 # golden svm climbs: every figure must be reproduced bit for bit.  "cube-oracle"
-# was recorded before the climb had a single accept rule; "cube-free" and
-# "planted-normals" reach the ceiling 2 min(n+, n-) / n and were recorded when
-# the climb first stopped there
+# was recorded when the feasibility oracle first tested the kept property's
+# eliminating-direction cone; "cube-free" and "planted-normals" reach the
+# ceiling 2 min(n+, n-) / n, and were recorded when the climb first reported
+# a value that reaches it as the ceiling itself
 
 # name: (spec lam, starts, seed); "cube" cases run on gen_cube_two_maxima(0.2)
 _SVM_CASES = {
@@ -577,32 +562,30 @@ _SVM_CASES = {
 # value, best, (len(trace), sha256 of the trace's float64 bytes), finals
 _SVM_GOLDEN = {
     "cube-free": (
-        0.8888888888888984,
+        8 / 9,
         [0.20075433602552475, 0.17226934346667275, 0.9643759484083542],
         (5, "ac4d61dc4fd1e875c81f491ef1d3f9c5b8df8730f02fec43bda06ca6f97fd675"),
-        [([0.20075433602552475, 0.17226934346667275, 0.9643759484083542],
-          0.8888888888888984),
-         ([0.1913689356176097, 0.14874139217560717, 0.9701824203386936],
-          0.8888888888888944),
+        [([0.20075433602552475, 0.17226934346667275, 0.9643759484083542], 8 / 9),
+         ([0.1913689356176097, 0.14874139217560717, 0.9701824203386936], 8 / 9),
          ([-0.15285789958564028, -0.1186460279343343, -0.981100189883618],
-          0.8888888888888888)]),
+          8 / 9)]),
     "cube-oracle": (
-        0.8830532152922619,
-        [0.06546615011799996, 0.7019435587932942, 0.7092174726114218],
-        (11, "776f0e18ffd996ed32da0bd27daef0ff11809049100185b99403ff94dfd34395"),
-        [([-0.6974239032927391, 0.16492413144538076, -0.6974237807695599],
-          0.8826808106752582),
-         ([0.06546615011799996, 0.7019435587932942, 0.7092174726114218],
-          0.8830532152922619)]),
+        0.883053214862724,
+        [0.06546621887787968, 0.7019435719451346, 0.709217453247408],
+        (11, "70c7170dfa98c5a6bc88b889b5418fec87fd419fe8dac84a1097347ef3c551dd"),
+        [([-0.6974239032927418, 0.1649242159509552, -0.6974237607859938],
+          0.8826808100691702),
+         ([0.06546621887787968, 0.7019435719451346, 0.709217453247408],
+          0.883053214862724)]),
     "planted-normals": (
-        0.7500000000000273,
-        [0.394792516557437, -0.777090917953519, -0.12903338269907325,
-         0.47288366460857734],
-        (5, "0f7561e34c0585c31edf753d0647bcb73189eda2c1741bd2560d883830d65f29"),
+        0.75,
+        [-0.27410834448381227, 0.927295555618756, 0.0064800655389283856,
+         -0.2548442205831981],
+        (2, "2c859b93a06e9a589121f1805b231cda776837df6050eb2329fc3ffe52e33685"),
         [([-0.27410834448381227, 0.927295555618756, 0.0064800655389283856,
-           -0.2548442205831981], 0.7500000000000054),
+           -0.2548442205831981], 0.75),
          ([0.394792516557437, -0.777090917953519, -0.12903338269907325,
-           0.47288366460857734], 0.7500000000000273)]),
+           0.47288366460857734], 0.75)]),
 }
 
 
@@ -691,7 +674,9 @@ def test_svm_climb_stops_at_its_ceiling(monkeypatch):
                            seed=seed)
     ceiling = _SvmClimbEngine(ps, spec, normals, 0).ceiling
     assert ceiling == 0.75
-    assert res.value >= ceiling - ACCEPT_MARGIN
+    # a value within ACCEPT_MARGIN of the ceiling is reported as the ceiling
+    assert res.value == ceiling
+    assert [v for _, v in res.finals] == [ceiling] * starts
     assert calls <= 10 * starts
 
 

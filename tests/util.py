@@ -2,6 +2,7 @@
 import numpy as np
 
 from sepproj.config import GEOM_TOL, LP_TOL
+from sepproj.data import LabeledPointSet
 from sepproj.errors import ActuallySeparableError
 from sepproj.lp import solve_lp
 from sepproj.separability import check_common_point_certificate, point_in_hull
@@ -89,3 +90,18 @@ def deep_common_point(P, Q):
     check_common_point_certificate(P, Q, x, lam, mu,
                                    tol=max(GEOM_TOL, 10 * LP_TOL * scale))
     return x, lam, mu, float(res.x[n + m])
+
+
+def planted_instance(seed, n, d, k, margin=0.15):
+    """n points at distance >= margin from k random planes through the
+    origin, labeled by side; returns the set and the unit plane normals."""
+    rng = np.random.default_rng(seed)
+    N = rng.normal(size=(k, d))
+    N /= np.linalg.norm(N, axis=1, keepdims=True)
+    pts = []
+    while len(pts) < n:
+        x = rng.normal(size=d)
+        if np.abs(N @ x).min() >= margin:
+            pts.append(x)
+    P = np.array(pts)
+    return LabeledPointSet(P, np.where(P @ N.T > 0, 1, -1).T), N
