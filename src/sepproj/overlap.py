@@ -452,7 +452,15 @@ def separability_feasibility(ps: LabeledPointSet, keep: tuple[int, ...],
     intersecting hulls.  A hidden property that is not strictly separable
     overlaps after every projection, so it adds no constraint.  The facets
     come from qhull at the first call, when ``scipy.spatial`` is imported.
+
+    On a line (d = 1) every projection leaves a single point, so no kept
+    property can stay separable: a nonempty ``keep`` there raises
+    ``EmptySubspaceError`` before any LP.
     """
+    if keep and ps.d == 1:
+        raise EmptySubspaceError(
+            "projecting a line leaves a point: no kept property stays separable")
+
     def separator(i):
         P, Q = ps.side(i, -1), ps.side(i, +1)
         res = linear_separability(P, Q)

@@ -274,7 +274,7 @@ def _finish_single(prob, ps, keep, planes, basis_a, basis, cert, witness_idx=Non
 
 
 MAX_HYPERPLANES = 200000
-# hyperplanes per batched SVD: bounds the memory and lets a hit stop early
+# hyperplanes per batched QR: bounds the memory and lets a hit stop early
 _HYPERPLANE_CHUNK = 8192
 PERTURB_EPS = 1e-6       # largest distance of a perturbed direction from +-w
 PERTURB_RETRIES = 40     # perturbation scales tried per anchor
@@ -315,10 +315,12 @@ def general_position_violations(points: np.ndarray, subset_size: int):
             return []
         idx = idx.reshape(-1, dim)
         base = points[idx[:, 0]]
-        # row 0 of each difference matrix is zero, so the last right singular
-        # vector is normal to a hyperplane through the D points (to one of
-        # many when they are affinely dependent)
-        normal = np.linalg.svd(points[idx] - base[:, None, :])[2][:, -1]
+        # the D - 1 differences to the base point are the columns of A = QR;
+        # they lie in the span of Q's first D - 1 columns, so Q's last column
+        # is a unit normal of a hyperplane through the D points, also when
+        # they are affinely dependent (then it is one of many such normals)
+        diffs = np.swapaxes(points[idx[:, 1:]] - base[:, None, :], 1, 2)
+        normal = np.linalg.qr(diffs, mode="complete")[0][:, :, -1]
         dist = np.abs(normal @ points.T - np.einsum("ij,ij->i", normal, base)[:, None])
         on = dist <= tol
         hit = on.sum(axis=1) >= subset_size
@@ -345,6 +347,10 @@ def _pad_selection(act_p, act_q, Pf, Qf, need, anchor, anchor_locked):
     pool += [(0, i) for i in range(len(Pf)) if i not in sel_p]
     if anchor_locked:
         pool = [(s, i) for s, i in pool if s != anchor[0]]
+    # the choosy pass keeps a candidate only when it grows the rank, so the
+    # rank before each candidate is the last one computed; the second pass
+    # keeps every candidate and needs no rank
+    rank = current_rank()
     for choosy in (True, False):
         for side_, idx in pool:
             if len(sel_p) + len(sel_q) >= need:
@@ -352,10 +358,12 @@ def _pad_selection(act_p, act_q, Pf, Qf, need, anchor, anchor_locked):
             tgt = sel_p if side_ == 0 else sel_q
             if idx in tgt:
                 continue
-            before = current_rank()
             tgt.append(idx)
-            if choosy and current_rank() == before:
-                tgt.pop()
+            if choosy:
+                grown = current_rank()
+                if grown == rank:
+                    tgt.pop()
+                rank = grown
     if len(sel_p) + len(sel_q) < need:
         raise TooFewPointsError(
             f"need {need} points to span the space, usable pool exhausted"

@@ -6,6 +6,8 @@ w nor -w lies in the cone of its side differences q - p; the oracle decides
 that from the cone's facets.  Each test here compares its verdict with
 ``max_slack_separator`` on the flat coordinates of the projected sides.
 """
+import time
+
 import numpy as np
 import pytest
 import scipy.spatial
@@ -14,7 +16,7 @@ from sepproj import _kernels
 from sepproj.config import LP_TOL
 from sepproj.constructions import gen_cube_two_maxima
 from sepproj.data import LabeledPointSet
-from sepproj.errors import NotSeparableInputError
+from sepproj.errors import EmptySubspaceError, NotSeparableInputError
 from sepproj.geometry import OrthoBasis, flat_coordinates
 from sepproj.overlap import (
     KEEP_FLOOR,
@@ -78,6 +80,12 @@ def test_planted_verdicts_match_the_lp(d):
     assert min(seen.values()) >= 10
 
 
+# four points on a line: property 0 splits them in the middle, property 1
+# alternates
+_LINE = LabeledPointSet(np.array([[0.0], [1.0], [3.0], [4.0]]),
+                        [[-1, -1, 1, 1], [-1, 1, -1, 1]])
+
+
 class TestDegenerateCones:
     """Cross-sections of fewer than two dimensions need no hull."""
 
@@ -134,11 +142,22 @@ class TestDegenerateCones:
         assert _assert_kept_verdicts(ps, (1,), 100, 1)[True] >= 90
 
     def test_line(self, no_qhull):
-        # d = 1: both sides project to one point
-        ps = LabeledPointSet(np.array([[0.0], [1.0], [3.0]]),
-                             [[-1, 1, 1], [-1, -1, 1]])
-        feas = separability_feasibility(ps, (1,))
-        assert feas.slack(np.array([1.0])) == -1.0 - KEEP_FLOOR
+        # d = 1: both sides project to one point, so even the separable
+        # property 0 cannot stay separable; building the oracle says so
+        # before any LP, where a climb would sample every start in vain
+        start = time.perf_counter()
+        with pytest.raises(EmptySubspaceError, match="line"):
+            separability_feasibility(_LINE, (0,), hidden=1)
+        assert time.perf_counter() - start < 0.1
+
+    def test_line_hidden_overlap_only(self, no_qhull):
+        # the projected hidden sides meet in the one point: every direction
+        # is feasible, and inseparable hidden sides constrain nothing
+        for hidden, slack in ((0, 1.0), (1, np.inf)):
+            feas = separability_feasibility(_LINE, (), require_hidden_overlap=True,
+                                            hidden=hidden)
+            for w in (np.array([1.0]), np.array([-1.0])):
+                assert feas.slack(w) == slack
 
 
 def test_facets_factor_no_matrix_over_the_generators(monkeypatch):

@@ -13,6 +13,12 @@ from sepproj.synthesis import general_position_violations
 # no three collinear in R^2; no four coplanar in R^3
 G2 = [[0, 0], [4, 1], [1, 3], [3, 5], [6, 2]]
 G3 = [[0, 0, 0], [3, 1, 0], [1, 4, 1], [2, 1, 5], [5, 3, 2], [1, 5, 4]]
+# no five on a hyperplane of R^4, the dimension ``hide`` checks; every point
+# is at least 1.2e-5 from each hyperplane through four others
+G4 = np.random.default_rng(0).normal(size=(24, 4)).round(3)
+# a fifth point on the hyperplane through four of G4
+PLANTED_R4 = (3, 7, 11, 15, 24)
+G4_PLANTED = np.vstack([G4, [0.5, 0.25, 0.125, 0.125] @ G4[list(PLANTED_R4[:4])]])
 
 
 def _mid(a, b):
@@ -44,6 +50,12 @@ FIXTURES = {
                          {4: True, 5: True}),
     "all-in-a-plane-r3": ([[x, y, 2 * x - y + 1] for x, y in G2], {4: True, 5: True}),
     "all-on-a-line-r3": ([[1 + t, 2 * t, -3 * t] for t in range(6)], {4: True, 5: True}),
+    "generic-r4": (G4, {5: False, 6: False}),
+    "five-cohyperplanar-r4": (G4_PLANTED, {5: True, 6: False}),
+    "coincident-r4": (np.vstack([G4, G4[5]]), {5: True, 6: False}),
+    # every 4-tuple is rank-deficient: its normal is one of many
+    "all-in-a-2-flat-r4": ([[x, y, x + 2 * y - 1, 3 * x - y + 2] for x, y, _, _ in G4[:8]],
+                           {5: True, 6: True}),
     "distinct-r1": ([[0], [1], [3], [7]], {2: False, 3: False}),
     "two-coincide-r1": ([[0], [1], [3], [1]], {2: True, 3: False}),
     "three-coincide-r1": ([[0], [2], [2], [5], [2]], {2: True, 3: True}),
@@ -77,6 +89,23 @@ def test_fixture(name, s, bad):
 def test_rescaled_fixture(factor, s, bad):
     points = np.array(FIXTURES["three-collinear-r2"][0], dtype=float) * factor
     assert _flagged(points, s) == bad
+
+
+R4_CASES = [case for case in CASES if case[0].endswith("-r4")]
+
+
+@pytest.mark.parametrize("factor", [1e-3, 1e3])
+@pytest.mark.parametrize("name, s, bad", R4_CASES,
+                         ids=[f"{name}-s{s}" for name, s, _ in R4_CASES])
+def test_rescaled_r4_fixture(name, s, bad, factor):
+    points = np.array(FIXTURES[name][0], dtype=float) * factor
+    assert _flagged(points, s) == bad
+
+
+@pytest.mark.parametrize("factor", [1.0, 1e-3, 1e3])
+def test_planted_r4_subset_is_returned(factor):
+    # the first hyperplane holding five points is the planted one's
+    assert general_position_violations(G4_PLANTED * factor, 5) == [PLANTED_R4]
 
 
 def test_subset_must_exceed_dimension():

@@ -194,6 +194,16 @@ class TestKirchberger:
             assert w.total_size <= 5
             assert not linear_separability(P[w.idx_p], Q[w.idx_q]).separable
 
+    def test_dense_certificate_at_realistic_size(self):
+        # 400 supported points in R^6 shrink to at most d + 2 = 8
+        P, Q = random_intersecting_pair(np.random.default_rng(18), 6, 200, 200)
+        x, lam, mu, depth = deep_common_point(P, Q)
+        assert depth > 0
+        w = kirchberger_reduce(P, Q, x, lam, mu)
+        assert w.total_size <= 8
+        check_common_point_certificate(P[w.idx_p], Q[w.idx_q], w.point, w.lam, w.mu)
+        assert not linear_separability(P[w.idx_p], Q[w.idx_q]).separable
+
     def test_invalid_certificate_rejected(self):
         P = np.array([[0.0, 0.0], [2.0, 0.0]])
         Q = np.array([[1.0, 1.0], [1.0, -1.0]])

@@ -195,6 +195,50 @@ class TestPerturbation:
         assert w2.tolist() == w_expect
         assert info == info_expect
 
+    @staticmethod
+    def _pad_reference(act_p, act_q, Pf, Qf, need, anchor, anchor_locked):
+        # the selection rule with the rank taken afresh before each candidate
+        sel = (list(act_p), list(act_q))
+        pool = [(1, j) for j in range(len(Qf)) if j not in sel[1]]
+        pool += [(0, i) for i in range(len(Pf)) if i not in sel[0]]
+        pool = [(s, i) for s, i in pool if not (anchor_locked and s == anchor[0])]
+
+        def rank():
+            return affine_rank(np.vstack([Pf[sel[0]], Qf[sel[1]]]))
+
+        for choosy in (True, False):
+            for side_, idx in pool:
+                if len(sel[0]) + len(sel[1]) >= need or idx in sel[side_]:
+                    continue
+                before = rank()
+                sel[side_].append(idx)
+                if choosy and rank() == before:
+                    sel[side_].pop()
+        if len(sel[0]) + len(sel[1]) < need:
+            raise TooFewPointsError("pool exhausted")
+        return sorted(sel[0]), sorted(sel[1])
+
+    def test_pad_selection_matches_the_reference(self):
+        # small integer grids: repeated and collinear points make the choosy
+        # pass reject candidates between the ones it keeps
+        rng = np.random.default_rng(11)
+        padded = 0
+        for _ in range(300):
+            d = int(rng.integers(2, 6))
+            Pf = rng.integers(-1, 2, size=(int(rng.integers(2, 9)), d)).astype(float)
+            Qf = rng.integers(-1, 2, size=(int(rng.integers(2, 9)), d)).astype(float)
+            args = ([0], [int(rng.integers(len(Qf)))], Pf, Qf, d + 1, (0, 0),
+                    bool(rng.integers(2)))
+            try:
+                expect = self._pad_reference(*args)
+            except TooFewPointsError:
+                with pytest.raises(TooFewPointsError):
+                    synthesis._pad_selection(*args)
+                continue
+            assert synthesis._pad_selection(*args) == expect
+            padded += len(expect[0]) + len(expect[1]) - 2 >= 2
+        assert padded >= 100
+
     def test_general_position_cap_checked_before_enumeration(self, monkeypatch):
         def enumerate_subsets(*args):
             raise AssertionError("hyperplanes enumerated before the cap check")
