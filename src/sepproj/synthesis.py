@@ -11,7 +11,9 @@ destroy the separability of the hidden property:
   direction in the span of the witness differences orthogonal to every keep
   normal; no anchor point is involved and the witness collapses.
 * ``perturb_general_position`` nudges that vector so the projected data is
-  not even non-strictly separable and is free of the collapse degeneracy.
+  not even non-strictly separable, certified by a Radon configuration: d+1
+  selected points of affine rank d-1 in the image, with strictly positive
+  coefficients on both sides that recombine to one common point.
 * ``multi_projection_driver`` generalizes to any well-behaved separability
   predicate with a witness extractor, emitting the same kind of basis for
   its own witness (possibly several vectors), or a certified impossibility.
@@ -25,7 +27,7 @@ from typing import Callable
 
 import numpy as np
 
-from .config import LP_TOL, RANK_TOL
+from .config import GEOM_TOL, LP_TOL, RANK_TOL
 from .data import LabeledPointSet
 from .errors import (
     ActuallySeparableError,
@@ -60,7 +62,6 @@ from .separability import (
     one_infty_separable,
     one_infty_witness,
     point_in_hull,
-    weak_separator,
 )
 
 
@@ -283,6 +284,10 @@ PERTURB_RETRIES = 40     # perturbation scales tried per anchor
 def general_position_violations(points: np.ndarray, subset_size: int):
     """Whether ``subset_size`` of the points lie on one common hyperplane.
 
+    ``constructions.gen_random_all_labels`` is its only caller: it redraws a
+    generated set until the set is in general position.  The perturbation
+    does not use it; it certifies its own d+1 selected points instead.
+
     The points live in R^D and ``subset_size`` must be at least D + 1, so a
     subset is degenerate exactly when it fits in a hyperplane.  Its affine
     basis extends, with other points of the set, to D points spanning either
@@ -371,9 +376,46 @@ def _pad_selection(act_p, act_q, Pf, Qf, need, anchor, anchor_locked):
     return sorted(sel_p), sorted(sel_q)
 
 
+def _radon_certificate(Ps, Qs):
+    """(x, lam, mu) certifying that no hyperplane weakly separates the D+2
+    points Ps ∪ Qs of R^D, or None when they carry no such certificate.
+
+    The points must have affine rank D: the smallest singular value of
+    [S^T; 1^T] must exceed ``RANK_TOL * scale``.  Its null vector is then the
+    one affine dependence of the points, and it must be strictly positive on
+    Ps and strictly negative on Qs; normalized per side it gives lam, mu > 0
+    with lam @ Ps = mu @ Qs = x.  A plane v.y = c with Ps on one side and Qs
+    on the other would give v.x <= c <= v.x, so every point, having a
+    positive coefficient, would lie on it, against the affine rank.
+
+    A zero entry of the unit null vector means the other D+1 points are
+    affinely dependent, so entries at or below ``RANK_TOL`` count as zero,
+    like any rank decision.  The recombination is re-validated by
+    ``check_common_point_certificate`` with residual ``GEOM_TOL * scale``.
+    """
+    S = np.vstack([Ps, Qs])
+    scale = max(1.0, float(np.abs(S).max()))
+    _, s, Vt = np.linalg.svd(np.vstack([S.T, np.ones(len(S))]))
+    if s[-1] <= RANK_TOL * scale:
+        return None
+    n = len(Ps)
+    v = Vt[-1] if Vt[-1, :n].sum() > 0 else -Vt[-1]
+    if v[:n].min() <= RANK_TOL or v[n:].max() >= -RANK_TOL:
+        return None
+    lam = v[:n] / v[:n].sum()
+    mu = v[n:] / v[n:].sum()
+    x = 0.5 * (lam @ Ps + mu @ Qs)
+    try:
+        check_common_point_certificate(Ps, Qs, x, lam, mu, tol=GEOM_TOL * scale)
+    except InvalidCertificateError:
+        return None
+    return x, lam, mu
+
+
 def perturb_general_position(P, Q, w):
     """Perturb a projection direction so the projected sets are not linearly
-    separable at all and carry no hyperplane-degenerate (d+1)-subset.
+    separable at all, not even weakly; the returned direction carries a
+    verified Radon certificate of that.
 
     The projected hulls must already intersect.  The perturbation moves the
     convex-combination certificate to strictly positive coefficients on d+1
@@ -381,7 +423,13 @@ def perturb_general_position(P, Q, w):
     projection at the point realizing the perturbed combination.  The new
     direction lies within ``PERTURB_EPS`` of +-w; each anchor gets
     ``PERTURB_RETRIES`` attempts, halving the perturbation scale between
-    them.  Returns (w_new, info dict).
+    them.  An attempt is accepted when ``_radon_certificate`` certifies the
+    d+1 selected points in the new image flat; no LP runs and no other point
+    is examined, so the cost per attempt is O(d^3) whatever the set size.
+
+    Returns (w_new, info dict).  ``info["certificate"]`` holds the point and
+    the coefficients ``lam`` (over ``selected_p``) and ``mu`` (over
+    ``selected_q``), in ``flat_coordinates`` under ``OrthoBasis(w_new)``.
     """
     P = np.asarray(P, dtype=float)
     Q = np.asarray(Q, dtype=float)
@@ -441,17 +489,17 @@ def perturb_general_position(P, Q, w):
                 # that would still land above PERTURB_EPS
                 delta *= 0.5 ** max(1, math.floor(math.log2(dist / PERTURB_EPS)))
                 continue
-            flat = flat_coordinates(np.vstack([P, Q]),
+            flat = flat_coordinates(np.vstack([P[sel_p], Q[sel_q]]),
                                     OrthoBasis(w_new[None, :]))
-            if weak_separator(flat[:n], flat[n:]) is not None:
-                last_err = "projection still weakly separable"
+            cert = _radon_certificate(flat[:len(sel_p)], flat[len(sel_p):])
+            if cert is None:
+                last_err = "selected points carry no Radon certificate"
                 delta *= 0.5
                 continue
-            if general_position_violations(flat, d + 1):
-                last_err = "projected points still hyperplane-degenerate"
-                delta *= 0.5
-                continue
-            info.update({"delta": delta, "distance": dist, "attempts": attempt + 1})
+            x, lam_c, mu_c = cert
+            info.update({"delta": delta, "distance": dist, "attempts": attempt + 1,
+                         "certificate": {"point": x.tolist(), "lam": lam_c.tolist(),
+                                         "mu": mu_c.tolist()}})
             return w_new, info
     raise DegeneratePositionError(f"perturbation failed: {last_err}")
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from sepproj import synthesis
+from sepproj import separability, synthesis
 from sepproj.constructions import gen_missing_label, gen_random_all_labels
 from sepproj.data import LabeledPointSet
 from sepproj.errors import (
@@ -12,7 +12,13 @@ from sepproj.errors import (
     TooFewPointsError,
 )
 from sepproj.geometry import OrthoBasis, affine_rank, flat_coordinates, project_points
-from sepproj.separability import linear_separability, one_infty_separable, weak_separator
+from sepproj.separability import (
+    Hyperplane,
+    check_common_point_certificate,
+    linear_separability,
+    one_infty_separable,
+    weak_separator,
+)
 from sepproj.synthesis import (
     ImpossibleOutcome,
     SynthesisProblem,
@@ -26,6 +32,7 @@ from sepproj.synthesis import (
     perturb_general_position,
     verify_after_projection,
 )
+from util import planted_instance
 
 
 class TestSeparationPreserving:
@@ -174,16 +181,25 @@ class TestPerturbation:
     # w_new and info as recorded with the LPs on HiGHS, whose optimal
     # vertices choose the witness and the selected supports, and with the
     # eliminating direction taken from the witness basis; both must be
-    # reproduced bit for bit
+    # reproduced bit for bit.  The certificate is the Radon configuration
+    # of the selected points in the image flat of w_new.
     _GOLDEN = {
         0: ([0.7123236092087664, -0.560900302024024, -0.421883783704891],
             {"selected_p": [0, 1], "selected_q": [0, 1], "anchor": (1, 0),
              "delta": 3.814697265625e-06, "distance": 8.34523986221109e-07,
-             "attempts": 3}),
+             "attempts": 3,
+             "certificate": {
+                 "point": [-2.2170292280063495, -0.4820468868778156],
+                 "lam": [1.9073486327486185e-06, 0.9999980926513673],
+                 "mu": [0.39856728712678785, 0.6014327128732122]}}),
         1: ([-0.9568940550467399, 0.2849612212908626, 0.056132608852846766],
             {"selected_p": [0, 1], "selected_q": [0, 1], "anchor": (0, 0),
              "delta": 1.9073486328125e-06, "distance": 5.468984485547182e-07,
-             "attempts": 3}),
+             "attempts": 3,
+             "certificate": {
+                 "point": [-0.5522442359228239, 0.038684915951086224],
+                 "lam": [0.09920384509162374, 0.9007961549083762],
+                 "mu": [0.9999990463256834, 9.536743166065328e-07]}}),
     }
 
     @pytest.mark.parametrize("seed", sorted(_GOLDEN))
@@ -238,6 +254,112 @@ class TestPerturbation:
             assert synthesis._pad_selection(*args) == expect
             padded += len(expect[0]) + len(expect[1]) - 2 >= 2
         assert padded >= 100
+
+    # hand-built selections of D + 2 points in R^2 that carry no certificate
+    _REFUSED = {
+        # all four points on the x-axis: affine rank 1 < D
+        "rank-deficient": ([[0.0, 0.0], [2.0, 0.0]], [[1.0, 0.0], [3.0, 0.0]]),
+        # crossing diagonals squeezed to within 1e-12 of the x-axis: the
+        # null vector splits by side, but the rank is 1 by RANK_TOL
+        "rank-deficient-crossing": ([[-1.0, 0.0], [1.0, 0.0]],
+                                    [[0.0, -1e-12], [0.0, 1e-12]]),
+        # q = -2 p0 + 1.5 p1 + 1.5 p2 lies outside the triangle: the null
+        # vector is negative on a P row whichever way it is oriented
+        "mixed-signs": ([[0.0, 0.0], [2.0, 0.0], [0.0, 2.0]], [[3.0, 3.0]]),
+        # q0 is the midpoint of p0 p1, so q1 gets coefficient zero
+        "zero-coefficient": ([[0.0, 0.0], [2.0, 0.0]], [[1.0, 0.0], [1.0, 1.0]]),
+    }
+
+    @pytest.mark.parametrize("case", sorted(_REFUSED))
+    def test_radon_certificate_refuses(self, case):
+        Ps, Qs = (np.array(a) for a in self._REFUSED[case])
+        assert synthesis._radon_certificate(Ps, Qs) is None
+
+    def test_radon_certificate_accepts_crossing_diagonals(self):
+        Ps = np.array([[-1.0, 0.0], [1.0, 0.0]])
+        Qs = np.array([[0.0, -1.0], [0.0, 2.0]])
+        x, lam, mu = synthesis._radon_certificate(Ps, Qs)
+        assert np.all(lam > 0) and np.all(mu > 0)
+        np.testing.assert_allclose(x, [0.0, 0.0], atol=1e-15)
+        np.testing.assert_allclose(mu, [2 / 3, 1 / 3], rtol=1e-14)
+        check_common_point_certificate(Ps, Qs, x, lam, mu)
+
+    def test_returned_certificate_revalidates_in_the_image(self):
+        ps, out = self._construct(0)
+        P, Q = ps.side(0, -1), ps.side(0, +1)
+        w2, info = perturb_general_position(P, Q, out.basis.vectors[0])
+        basis2 = OrthoBasis(w2[None, :])
+        cert = info["certificate"]
+        Ps = flat_coordinates(P[info["selected_p"]], basis2)
+        Qs = flat_coordinates(Q[info["selected_q"]], basis2)
+        assert min(cert["lam"] + cert["mu"]) > 0
+        assert affine_rank(np.vstack([Ps, Qs])) == ps.d - 1
+        check_common_point_certificate(Ps, Qs, np.array(cert["point"]),
+                                       cert["lam"], cert["mu"], tol=1e-12)
+
+    @pytest.mark.parametrize("case", sorted(_REFUSED))
+    def test_refused_certificate_retries_then_raises(self, case, monkeypatch):
+        # the first attempt that is near enough to w meets a refused selection:
+        # the perturbation halves delta and is accepted one attempt later
+        ps, out = self._construct(0)
+        P, Q, w = ps.side(0, -1), ps.side(0, +1), out.basis.vectors[0]
+        _, base = perturb_general_position(P, Q, w)
+        refused = tuple(np.array(a) for a in self._REFUSED[case])
+        real = synthesis._radon_certificate
+        calls = []
+
+        def refuse_first(Ps, Qs):
+            calls.append(1)
+            return real(*refused) if len(calls) == 1 else real(Ps, Qs)
+
+        monkeypatch.setattr(synthesis, "_radon_certificate", refuse_first)
+        _, info = perturb_general_position(P, Q, w)
+        assert info["attempts"] == base["attempts"] + 1
+        assert info["delta"] == base["delta"] / 2
+        # refused on every attempt of every anchor: a typed error
+        monkeypatch.setattr(synthesis, "_radon_certificate", lambda Ps, Qs: real(*refused))
+        with pytest.raises(DegeneratePositionError, match="perturbation failed"):
+            perturb_general_position(P, Q, w)
+
+    @pytest.mark.parametrize("n, d", [(50, 5), (100, 5), (200, 6), (400, 8)])
+    def test_perturbs_beyond_the_general_position_cap(self, n, d, monkeypatch):
+        # a check over all C(n, d - 1) hyperplanes of the image would exceed
+        # MAX_HYPERPLANES here; the certificate looks at d + 1 points only
+        ps, normals = planted_instance(1, n, d, 3)
+        keep = {i: Hyperplane(normals[i], 0.0) for i in (1, 2)}
+        out = construct_eliminating_projection(SynthesisProblem(ps, 0, keep))
+        P, Q = ps.side(0, -1), ps.side(0, +1)
+
+        # the hull intersection in the first image is solved before the
+        # selection is padded; the retry loop after it solves no LP
+        padded = []
+        real_pad, real_lp = synthesis._pad_selection, separability.solve_lp
+
+        def pad(*args):
+            padded.append(True)
+            return real_pad(*args)
+
+        def lp(*args, **kwargs):
+            assert not padded, "an attempt solved an LP"
+            return real_lp(*args, **kwargs)
+
+        def sweep(*args):
+            raise AssertionError("the perturbation ran the general-position check")
+
+        monkeypatch.setattr(synthesis, "_pad_selection", pad)
+        monkeypatch.setattr(separability, "solve_lp", lp)
+        monkeypatch.setattr(synthesis, "general_position_violations", sweep)
+        w2, info = perturb_general_position(P, Q, out.basis.vectors[0])
+        monkeypatch.undo()
+        assert padded
+        w = out.basis.vectors[0]
+        assert min(np.linalg.norm(w2 - w), np.linalg.norm(w2 + w)) <= 1e-6
+        basis2 = OrthoBasis(w2[None, :])
+        Pc, Qc = flat_coordinates(P, basis2), flat_coordinates(Q, basis2)
+        assert weak_separator(Pc, Qc) is None
+        res = linear_separability(Pc, Qc, strict=False)
+        assert not res.separable
+        res.validate(Pc, Qc)
 
     def test_general_position_cap_checked_before_enumeration(self, monkeypatch):
         def enumerate_subsets(*args):
