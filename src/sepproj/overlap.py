@@ -366,13 +366,26 @@ class SlackOracle:
 
     ``slack(w) >= 0`` means feasible; the magnitude is meaningful, so an
     exact-penalty climb can crawl along the boundary instead of stalling
-    against a binary accept/reject test."""
+    against a binary accept/reject test.
 
-    def __init__(self, slack_fn: Callable):
+    An oracle whose slack is, near w, the linear function a . w of a unit
+    vector a minus a constant may pass ``normal_fn`` returning that a: the
+    normal of the facet that sets the slack at w, pointing to larger slack.
+    ``active_normal(w)`` returns it, or None for an oracle without one.  A
+    climb that the penalty blocks steps along that facet; without it, the
+    climb probes its compass."""
+
+    def __init__(self, slack_fn: Callable, normal_fn: Callable | None = None):
         self._slack = slack_fn
+        self._normal = normal_fn
 
     def slack(self, w) -> float:
         return float(self._slack(np.asarray(w, dtype=float)))
+
+    def active_normal(self, w) -> np.ndarray | None:
+        if self._normal is None:
+            return None
+        return self._normal(np.asarray(w, dtype=float))
 
     def __call__(self, w) -> bool:
         return self.slack(w) >= 0.0
@@ -419,13 +432,20 @@ def _cone_normals(P, Q, c) -> np.ndarray:
     return N / np.linalg.norm(N, axis=1, keepdims=True)
 
 
-def _cone_separation(N, w) -> float:
-    """min(max_j n_j . w, max_j -n_j . w): positive exactly when neither w
-    nor -w lies in the cone with facet normals N.  Inside it, it is minus the
-    sine of the angle to the nearest facet plane.  With no facets (d = 1)
-    every direction is inside, at the extreme value -1."""
+def _cone_separation(N, w):
+    """(min(max_j n_j . w, max_j -n_j . w), n): the separation is positive
+    exactly when neither w nor -w lies in the cone with facet normals N.
+    Inside it, it is minus the sine of the angle to the nearest facet plane.
+    n is the facet normal that sets it, n . w equal to it: n_argmax when
+    the max is the smaller term, else -n_argmin.  With no facets (d = 1)
+    every direction is inside, at the extreme value -1, and n is None."""
     t = N @ w
-    return float(min(t.max(initial=-1.0), -t.min(initial=1.0)))
+    if t.size == 0:
+        return -1.0, None
+    i, j = int(np.argmax(t)), int(np.argmin(t))
+    if t[i] <= -t[j]:
+        return float(t[i]), N[i]
+    return float(-t[j]), -N[j]
 
 
 def separability_feasibility(ps: LabeledPointSet, keep: tuple[int, ...],
@@ -479,16 +499,20 @@ def separability_feasibility(ps: LabeledPointSet, keep: tuple[int, ...],
             cones.append((P, Q, c, -1.0))
     normals = []  # filled at the first call
 
-    def slack_fn(w: np.ndarray) -> float:
+    def active(w: np.ndarray):
+        """(slack, the unit normal of the facet that sets it, signed so the
+        slack grows along it; None where nothing constrains)."""
         if not normals and cones:
             normals.extend((_cone_normals(P, Q, c), sign) for P, Q, c, sign in cones)
-        s = np.inf
+        s, a = np.inf, None
         for N, sign in normals:
-            sep = _cone_separation(N, w)
-            s = min(s, sep - KEEP_FLOOR if sign > 0 else -sep)
-        return s
+            sep, n = _cone_separation(N, w)
+            term = sep - KEEP_FLOOR if sign > 0 else -sep
+            if term < s:
+                s, a = term, (n if sign > 0 or n is None else -n)
+        return s, a
 
-    return SlackOracle(slack_fn)
+    return SlackOracle(lambda w: active(w)[0], lambda w: active(w)[1])
 
 
 def _tangent_basis(w: np.ndarray, keep_normals) -> np.ndarray:
@@ -518,6 +542,35 @@ def _compass(E: np.ndarray) -> list[np.ndarray]:
     return dirs
 
 
+def _boundary_candidate(w, gt, a, E, step):
+    """One projected-gradient step (Rosen 1960) along the facet
+    {x : a . x = KEEP_FLOOR} of the unit normal a, or None when the facet
+    leaves no such step.
+
+    The tangent gradient gt loses only its part along -a_t, where a_t is a's
+    tangent part: the outward part, along which the slack falls.  The step
+    of length ``step`` is then retracted, in closed form, to the nearest
+    point of the sphere in span(w, E), where the climb moves, at which
+    a . x = KEEP_FLOOR."""
+    at = E.T @ (E @ a)
+    nt = np.linalg.norm(at)
+    if nt == 0.0:
+        return None
+    av = (a @ w) * w + at  # a's part in span(w, E)
+    nv = np.linalg.norm(av)
+    h = KEEP_FLOOR / nv  # the facet's level along the unit av / nv
+    d = gt - min(0.0, float(gt @ at) / nt) * (at / nt)
+    nd = np.linalg.norm(d)
+    if h >= 1.0 or nd == 0.0:
+        return None
+    x = w + step * (d / nd)
+    xp = x - (x @ av) / (nv * nv) * av
+    nxp = np.linalg.norm(xp)
+    if nxp == 0.0:
+        return None
+    return h * (av / nv) + np.sqrt(1.0 - h * h) * (xp / nxp)
+
+
 def _climb(ps, spec, w0, keep_normals, oracle: SlackOracle | None, hidden):
     """Ascent with retraction to the unit sphere, from step ``STEP0`` until
     ``MAX_ITER`` iterations, a step below ``STEP_MIN``, or, for the svm
@@ -526,13 +579,18 @@ def _climb(ps, spec, w0, keep_normals, oracle: SlackOracle | None, hidden):
     step could be accepted only on inner-solver noise, and a best feasible
     value within ``ACCEPT_MARGIN`` of it is returned as the ceiling itself.
 
-    The gradient step is tried first (greedy); when rejected, an eight-point
-    tangent compass is probed in order of decreasing value.  The oracle's
-    slack turns into an exact penalty (value + weight * min(0, slack)), so
-    the climb crawls cleanly along curved constraint boundaries instead of
-    stalling against them.  Accepted steps never decrease the (penalized)
-    value.  With an oracle the result is the best feasible point visited,
-    if any."""
+    The gradient step is tried first (greedy).  The oracle's slack turns
+    into an exact penalty (value + weight * min(0, slack)), and a step is
+    accepted only when it raises the penalized value, so accepted steps
+    never decrease it.  When the gradient step would raise the value but
+    the penalty refuses it, and the oracle names the facet that sets its
+    slack at w (``SlackOracle.active_normal``), the one candidate tried is
+    a step along that facet (``_boundary_candidate``): the gradient without
+    its outward part, retracted onto the sphere at the facet's level
+    a . x = KEEP_FLOOR, where a kept facet's slack is 0.  Otherwise, when the gradient step is rejected, an eight-point
+    tangent compass is probed in order of decreasing value.  With an oracle
+    the result is the best feasible point visited, if any.  The DEBUG stop
+    line counts the boundary steps tried and accepted."""
     engine_cls = _SvmClimbEngine if spec.kind == "svm" else _IntervalClimbEngine
     engine = engine_cls(ps, spec, keep_normals, hidden)
 
@@ -572,6 +630,7 @@ def _climb(ps, spec, w0, keep_normals, oracle: SlackOracle | None, hidden):
 
     ceiling = engine.ceiling
     reason = "max_iter"
+    edge_tried = edge_accepted = 0  # boundary steps
     for iterations in range(MAX_ITER):
         if (ceiling is not None and best_feasible is not None
                 and best_feasible[1] >= ceiling - ACCEPT_MARGIN):
@@ -586,8 +645,18 @@ def _climb(ps, spec, w0, keep_normals, oracle: SlackOracle | None, hidden):
             break
         gt = E.T @ (E @ engine.gradient(w, warm, E))
         gn = np.linalg.norm(gt)
-        moved = gn > 0 and bool(try_step(*probe(gt / gn)))
-        if not moved:
+        outcome = try_step(*probe(gt / gn)) if gn > 0 else None
+        moved = bool(outcome)
+        # False: the value takes the step but the penalty refuses it, so an
+        # oracle is set; step along the facet that blocks, if it names one
+        edge = None
+        if outcome is False and (a := oracle.active_normal(w)) is not None:
+            edge = _boundary_candidate(w, gt, a, E, step)
+        if edge is not None:
+            edge_tried += 1
+            moved = bool(try_step(*engine.value(edge, warm), edge))
+            edge_accepted += moved
+        elif not moved:
             scored = sorted((probe(dvec) for dvec in _compass(E)),
                             key=lambda t: -t[0])
             for cand in scored:
@@ -603,7 +672,8 @@ def _climb(ps, spec, w0, keep_normals, oracle: SlackOracle | None, hidden):
         if ceiling is not None and fval >= ceiling - ACCEPT_MARGIN:
             fval = ceiling  # certified: no direction scores above it
     _log.debug("%s climb stopped (%s) after %d iterations, %d evaluations, "
-               "value %.17g", spec.kind, reason, iterations, engine.evaluations,
+               "%d of %d boundary steps accepted, value %.17g", spec.kind,
+               reason, iterations, engine.evaluations, edge_accepted, edge_tried,
                fval)
     return w, fval, trace
 

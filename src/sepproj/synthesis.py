@@ -463,14 +463,15 @@ def perturb_general_position(P, Q, w):
     anchors = [(0, i, lam[i]) for i in act_p] + [(1, j, mu[j]) for j in act_q]
     anchors.sort(key=lambda t: (abs(t[2] - 0.5), t[0], t[1]))
 
-    last_err = "exhausted retries"
+    reasons = []  # why each anchor failed: its last attempt's error
     for side_a, idx_a, coeff_a in anchors:
         locked = coeff_a >= 1.0 - 1e-12
+        last_err = "no attempt came within PERTURB_EPS"
         try:
             sel_p, sel_q = _pad_selection(act_p, act_q, Pf, Qf, d + 1,
                                           (side_a, idx_a), locked)
         except TooFewPointsError as exc:
-            last_err = str(exc)
+            reasons.append(f"{'PQ'[side_a]}[{idx_a}]: {exc}")
             continue
         info = {"selected_p": sel_p, "selected_q": sel_q,
                 "anchor": (side_a, idx_a)}
@@ -501,7 +502,9 @@ def perturb_general_position(P, Q, w):
                          "certificate": {"point": x.tolist(), "lam": lam_c.tolist(),
                                          "mu": mu_c.tolist()}})
             return w_new, info
-    raise DegeneratePositionError(f"perturbation failed: {last_err}")
+        reasons.append(f"{'PQ'[side_a]}[{idx_a}]: {last_err}")
+    raise DegeneratePositionError(
+        "perturbation failed at every anchor; " + "; ".join(reasons))
 
 
 def _perturbed_direction(P, Q, Pf, Qf, w, sel_p, sel_q, lam, mu, anchor,

@@ -233,6 +233,40 @@ class TestHiddenOverlap:
             assert feas.slack(w) == np.inf
 
 
+@pytest.mark.parametrize("d, seed", [(4, 2), (4, 4), (5, 2)])
+def test_boundary_climb_finals_keep_both_properties(d, seed):
+    # climbs that end on the boundary of the two kept cones, after steps
+    # along their facets: the LP must still separate each kept property
+    ps, _ = planted_instance(seed, 16 + 2 * d, d, 3)
+    feas = separability_feasibility(ps, (1, 2))
+    res = maximize_overlap(ps, OverlapSpec(kind="svm", lam=1.0), starts=2,
+                           seed=seed, feasible=feas)
+    assert min(feas.slack(w) for w, _ in res.finals) < 1e-9
+    for w, _ in res.finals:
+        assert feas(w)
+        assert _lp_separable(ps, 1, w) and _lp_separable(ps, 2, w)
+
+
+@pytest.mark.parametrize("keep, hidden", [((1, 2), False), ((), True),
+                                          ((1,), True)])
+def test_active_normal_sets_the_slack(keep, hidden):
+    # near w the slack is the linear function a . w minus KEEP_FLOOR (a kept
+    # facet) or minus nothing (the hidden one), for the unit active normal a
+    ps, _ = planted_instance(4, 26, 4, 3)
+    feas = separability_feasibility(ps, keep, require_hidden_overlap=hidden)
+    expected = {True} if keep else set()
+    if hidden:
+        expected.add(False)
+    kinds = set()
+    for w in _directions(ps.d, 200, 8):
+        s, a = feas.slack(w), feas.active_normal(w)
+        assert abs(np.linalg.norm(a) - 1.0) <= 1e-12
+        kept = abs(a @ w - KEEP_FLOOR - s) <= 1e-15
+        assert kept or abs(a @ w - s) <= 1e-15
+        kinds.add(kept)
+    assert kinds == expected
+
+
 def test_constrained_climb_runs_no_lp(monkeypatch):
     ps = gen_cube_two_maxima(0.2)
     feas = separability_feasibility(ps, (1,), require_hidden_overlap=True)

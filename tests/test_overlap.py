@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import logging
+import re
 
 import numpy as np
 import pytest
@@ -8,11 +9,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.spatial import ConvexHull, QhullError
 
+from sepproj import overlap
 from sepproj.data import LabeledPointSet
 from sepproj.errors import BadParamsError, EmptySubspaceError
 from sepproj.geometry import OrthoBasis, orthonormalize, project_points
 from sepproj.overlap import (
+    KEEP_FLOOR,
     OverlapSpec,
+    SlackOracle,
     _SvmClimbEngine,
     f_value,
     g_interval,
@@ -547,15 +551,19 @@ class TestIntervalDegenerate:
 
 # ---------------------------------------------------------------------------
 # golden svm climbs: every figure must be reproduced bit for bit.  "cube-oracle"
-# was recorded when the feasibility oracle first tested the kept property's
-# eliminating-direction cone; "cube-free" and "planted-normals" reach the
-# ceiling 2 min(n+, n-) / n, and were recorded when the climb first reported
-# a value that reaches it as the ceiling itself
+# was recorded when a climb blocked by the feasibility oracle first stepped
+# along the oracle's active facet; "cube-oracle-compass" runs the same case
+# under an oracle that reports no facet, so it probes the compass instead,
+# and keeps the figures recorded when the oracle first tested the kept
+# property's eliminating-direction cone.  "cube-free" and "planted-normals"
+# reach the ceiling 2 min(n+, n-) / n, and were recorded when the climb first
+# reported a value that reaches it as the ceiling itself
 
 # name: (spec lam, starts, seed); "cube" cases run on gen_cube_two_maxima(0.2)
 _SVM_CASES = {
     "cube-free": (10.0, 3, 1),
     "cube-oracle": (10.0, 2, 3),
+    "cube-oracle-compass": (10.0, 2, 3),
     "planted-normals": (0.1, 2, 13),
 }
 
@@ -570,6 +578,14 @@ _SVM_GOLDEN = {
          ([-0.15285789958564028, -0.1186460279343343, -0.981100189883618],
           8 / 9)]),
     "cube-oracle": (
+        0.8833674146028683,
+        [0.29389284921575065, 0.6593552457276651, 0.6920098648944669],
+        (11, "434e71643d3a25f266ee1f7e03e16c4b4d67028c558b801378cc15598945a6bf"),
+        [([-0.6593588086553825, -0.29387986342278827, -0.6920119849562998],
+          0.8833674145999013),
+         ([0.29389284921575065, 0.6593552457276651, 0.6920098648944669],
+          0.8833674146028683)]),
+    "cube-oracle-compass": (
         0.883053214862724,
         [0.06546621887787968, 0.7019435719451346, 0.709217453247408],
         (11, "70c7170dfa98c5a6bc88b889b5418fec87fd419fe8dac84a1097347ef3c551dd"),
@@ -595,8 +611,10 @@ def test_svm_climb_is_bit_identical(name):
     normals = feas = None
     if name.startswith("cube"):
         ps = gen_cube_two_maxima(0.2)
-        if name == "cube-oracle":
+        if name != "cube-free":
             feas = separability_feasibility(ps, (1,))
+        if name == "cube-oracle-compass":
+            feas = SlackOracle(feas.slack)
     else:
         ps, N = _planted_instance(seed, 16, 4, 2)
         normals = N[1:]
@@ -690,6 +708,84 @@ def test_ceiling_stop_is_logged(caplog):
     for record in records:
         assert record.levelno == logging.DEBUG
         assert "svm climb stopped (ceiling)" in record.getMessage()
+
+
+# ---------------------------------------------------------------------------
+# boundary steps: a gradient step that the oracle's penalty refuses is
+# projected onto the oracle's active facet and retracted onto it
+
+# a 30,000-direction grid over the sphere finds no feasible direction of the
+# cube scoring above this under the oracle that keeps property 1 separable
+_CUBE_ORACLE_GRID_MAX = 0.883353
+
+
+def test_boundary_steps_reach_one_maximum(monkeypatch):
+    # one climb per start seed 1 and 2; the compass alone makes 385 and 346
+    # svm solves and stops at 0.883162 and 0.883281, two different points of
+    # the boundary
+    calls = 0
+    solve = overlap._solve_svm_gram
+
+    def counted(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(overlap, "_solve_svm_gram", counted)
+    ps = gen_cube_two_maxima(0.2)
+    feas = separability_feasibility(ps, (1,))
+    values = []
+    for seed in (1, 2):
+        calls = 0
+        res = maximize_overlap(ps, OverlapSpec(kind="svm", lam=10.0), starts=1,
+                               seed=seed, feasible=feas)
+        assert calls < 150
+        assert feas(res.best)
+        values.append(res.value)
+    assert min(values) >= _CUBE_ORACLE_GRID_MAX
+    assert abs(values[0] - values[1]) <= 1e-9
+
+
+@pytest.mark.parametrize("k", [0, 1])
+def test_boundary_candidate_lies_on_the_facet(k):
+    rng = np.random.default_rng(5 + k)
+    d = 5
+    N = orthonormalize(rng.normal(size=(k, d))).vectors if k else None
+    for _ in range(20):
+        w = rng.normal(size=d)
+        if k:
+            w -= N.T @ (N @ w)
+        w /= np.linalg.norm(w)
+        E = overlap._tangent_basis(w, N)
+        a = _unit(rng.normal(size=d))
+        gt = E.T @ (E @ rng.normal(size=d))
+        x = overlap._boundary_candidate(w, gt, a, E, 0.1)
+        assert abs(np.linalg.norm(x) - 1.0) <= 1e-15
+        assert abs(a @ x - KEEP_FLOOR) <= 1e-15
+        if k:
+            assert np.abs(N @ x).max() <= 1e-15
+
+
+def test_boundary_steps_are_logged(caplog):
+    # an oracle built from its slack alone names no facet: its climb probes
+    # the compass and takes no boundary step
+    ps = gen_cube_two_maxima(0.2)
+    feas = separability_feasibility(ps, (1,))
+    bare = SlackOracle(feas.slack)
+    assert bare.active_normal(np.array([1.0, 0.0, 0.0])) is None
+    with caplog.at_level(logging.DEBUG, logger="sepproj.overlap"):
+        maximize_overlap(ps, OverlapSpec(kind="svm", lam=10.0), starts=1,
+                         seed=1, feasible=feas)
+        maximize_overlap(ps, OverlapSpec(kind="svm", lam=10.0), starts=1,
+                         seed=1, feasible=bare)
+    messages = [r.getMessage() for r in caplog.records
+                if r.name == "sepproj.overlap"]
+    assert len(messages) == 2
+    tried = [re.search(r"(\d+) of (\d+) boundary steps accepted", m)
+             for m in messages]
+    accepted, attempted = (int(g) for g in tried[0].groups())
+    assert 0 < accepted <= attempted
+    assert tried[1].groups() == ("0", "0")
 
 
 # ---------------------------------------------------------------------------

@@ -321,6 +321,25 @@ class TestPerturbation:
         with pytest.raises(DegeneratePositionError, match="perturbation failed"):
             perturb_general_position(P, Q, w)
 
+    def test_failure_names_every_anchor(self, monkeypatch):
+        # the last anchor cannot even be padded; the earlier ones spent
+        # every attempt on refused certificates, and the message says so
+        ps, out = self._construct(0)
+        P, Q, w = ps.side(0, -1), ps.side(0, +1), out.basis.vectors[0]
+        _, base = perturb_general_position(P, Q, w)
+        monkeypatch.setattr(synthesis, "_radon_certificate", lambda Ps, Qs: None)
+        with pytest.raises(DegeneratePositionError) as err:
+            perturb_general_position(P, Q, w)
+        message = str(err.value)
+        reasons = message.split("; ")[1:]
+        assert len(reasons) == 3
+        side, idx = base["anchor"]
+        assert reasons[0] == (f"{'PQ'[side]}[{idx}]: selected points carry no "
+                              "Radon certificate")
+        assert reasons[1].endswith("selected points carry no Radon certificate")
+        assert reasons[2].endswith("usable pool exhausted")
+        assert len({r.split(":")[0] for r in reasons}) == 3
+
     @pytest.mark.parametrize("n, d", [(50, 5), (100, 5), (200, 6), (400, 8)])
     def test_perturbs_beyond_the_general_position_cap(self, n, d, monkeypatch):
         # a check over all C(n, d - 1) hyperplanes of the image would exceed
