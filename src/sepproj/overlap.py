@@ -160,41 +160,78 @@ def _offset_from_dual(y, alpha, u_vals, C):
 
 
 def _min_support(A, B):
-    """(u, h): a unit u minimizing h = max over a in A, b in B of u.(a - b),
-    the support function of A - B, over the unit sphere.  That minimum is the
-    offset of the nearest facet of conv(A - B).  A flat hull (or one of too
-    few points) gives its normal and h = 0: the normal is orthogonal to every
+    """(u, h, k): a unit u minimizing h = max over a in A, b in B of u.(a - b),
+    the support function of A - B, over the unit sphere, and the vertices k
+    of the facet that attains it, as indices into the rows of A - B (row
+    i len(B) + j is A[i] - B[j]).  That minimum is the offset of the nearest
+    facet of conv(A - B).  A flat hull (or one of too few points) gives its
+    normal, h = 0 and no vertices: the normal is orthogonal to every
     difference of two points of A or of B, so the interval score is 0 there."""
     from scipy.spatial import ConvexHull, QhullError
     S = (A[:, None, :] - B[None, :, :]).reshape(-1, A.shape[1])
     try:
-        eq = ConvexHull(S).equations
+        hull = ConvexHull(S)
     except QhullError:
-        return np.linalg.svd(S - S.mean(axis=0))[2][-1], 0.0
+        return np.linalg.svd(S - S.mean(axis=0))[2][-1], 0.0, None
+    eq = hull.equations
     best = int(np.argmax(eq[:, -1]))
-    return eq[best, :-1], -float(eq[best, -1])
+    return eq[best, :-1], -float(eq[best, -1]), hull.simplices[best]
 
 
 def _interval_minimum(Xn, Xp):
     """Minimize the interval score over unit u in the reduced space, given
-    the two sides' reduced coordinates.  Returns (u, value), the value taken
-    at u.
+    the two sides' reduced coordinates.  Returns (u, value, c), the value
+    taken at u, and c, weights on the rows of [Xn; Xp] (None at a zero
+    value): the attaining combination of differences s = c . [Xn; Xp], with
+    s = value u up to rounding.  The weights are linear in the points, so
+    they give the same combination of the points in any coordinates.
 
     Along u the score is max(0, .) of the smallest of the support functions
     of N - N, N - P, P - N and P - P, and P - N's is N - P's at -u, so the
     minimum is the lowest nearest-facet offset of three hulls.  When N - P's
     is <= 0 the sides are weakly separable and the score is 0.  In one
-    dimension the sphere is {+-1}, where the score is even."""
-    if Xn.shape[1] == 1:
-        u = np.array([1.0])
+    dimension the sphere is {+-1}, where the score is even, and s is the
+    difference of the attaining pair: the largest point of the side with the
+    smaller maximum less the smallest point of the side with the larger
+    minimum.  Otherwise s is the affine combination of the nearest facet's
+    vertices that is its foot point value u."""
+    nn = Xn.shape[0]
+    one_dim = Xn.shape[1] == 1
+    if one_dim:
+        u, h = np.array([1.0]), np.inf  # no hull: the value alone decides
     else:
-        u, h = _min_support(Xn, Xp)
+        u, h, k = _min_support(Xn, Xp)
+        pair = (Xn, Xp, 0, nn)  # the hull's two sides and their row offsets
         if h > 0.0:
-            u = min((u, h), _min_support(Xn, Xn), _min_support(Xp, Xp),
-                    key=lambda t: t[1])[0]
-    sn = Xn @ u
-    sp = Xp @ u
-    return u, max(0.0, min(sn.max(), sp.max()) - max(sn.min(), sp.min()))
+            for A, off in ((Xn, 0), (Xp, nn)):
+                cand = _min_support(A, A)
+                if cand[1] < h:
+                    (u, h, k), pair = cand, (A, A, off, off)
+    t = np.concatenate([Xn @ u, Xp @ u])  # every point's position along u
+    ends = (int(np.argmax(t[:nn])), nn + int(np.argmax(t[nn:])))
+    hi = min(ends, key=t.__getitem__)  # the point that ends the overlap above
+    ends = (int(np.argmin(t[:nn])), nn + int(np.argmin(t[nn:])))
+    lo = max(ends, key=t.__getitem__)  # and the one that ends it below
+    value = max(0.0, t[hi] - t[lo])
+    # a hull offset of 0 or below (a flat hull, or weakly separable sides)
+    # means a zero score, whatever rounding leaves in the value
+    if not (value > 0.0 and h > 0.0):
+        return u, value, None
+    c = np.zeros(len(t))
+    if one_dim:
+        c[hi] += 1.0
+        c[lo] -= 1.0
+        return u, value, c
+    A, B, oa, ob = pair
+    i, j = np.divmod(k, B.shape[0])
+    V = A[i] - B[j]
+    # the facet's vertices span a plane off the origin, so the system is
+    # consistent; least squares also covers a degenerate triangulated piece
+    lam = np.linalg.lstsq(np.vstack([V.T, np.ones(len(k))]),
+                          np.append(h * u, 1.0), rcond=None)[0]
+    np.add.at(c, oa + i, lam)
+    np.add.at(c, ob + j, -lam)
+    return u, value, c
 
 
 def min_overlap(ps: LabeledPointSet, spec: OverlapSpec,
@@ -222,7 +259,7 @@ def min_overlap(ps: LabeledPointSet, spec: OverlapSpec,
         alpha, u_vals, b, value = _solve_svm_gram(K, y, spec.lam)
         u = X.T @ (alpha * y) / (2.0 * spec.lam)
         return Z.vectors.T @ u, float(b), value, alpha
-    u, value = _interval_minimum(X[y < 0], X[y > 0])
+    u, value, _ = _interval_minimum(X[y < 0], X[y > 0])
     return Z.vectors.T @ u, 0.0, float(value), None
 
 
@@ -235,7 +272,7 @@ def f_value(ps: LabeledPointSet, w, spec: OverlapSpec,
     values are ``f_value``'s bit for bit."""
     w = np.asarray(w, dtype=float)
     if spec.kind == "interval":
-        v, value = _IntervalClimbEngine(ps, spec, keep_normals, hidden).minimum(w)
+        v, value, _ = _IntervalClimbEngine(ps, spec, keep_normals, hidden).minimum(w)
         return value, (v, 0.0, None)
     v, b, value, alpha = min_overlap(ps, spec, _with_normals(w, keep_normals),
                                      hidden)
@@ -277,10 +314,11 @@ class _SvmClimbEngine:
         self.evaluations += 1
         return value, alpha
 
-    def gradient(self, w, alpha, E):
+    def gradient(self, w, alpha):
         """Exact gradient from the inner dual solution: with
         s = sum_i alpha_i y_i p_i the value depends on w only through
-        -(w.s)^2/(4 lam).  The tangent basis E is not needed."""
+        -(w.s)^2/(4 lam).  Its part along w and the keep normals is left in;
+        the climb projects it onto the tangent space."""
         s = self.P.T @ (alpha * self.y)
         return (w @ s) / (2.0 * self.lam) * s
 
@@ -305,7 +343,13 @@ class _IntervalClimbEngine:
     complement C, split by side.  An evaluation at w then needs only an
     orthonormal basis H of the complement of C w inside that space, from one
     Householder reflector; the score is minimized over the rows of H C.
-    The score has no upper bound independent of w, so ``ceiling`` is None."""
+    The score has no upper bound independent of w, so ``ceiling`` is None.
+
+    An evaluation also returns, as its warm state, the attaining combination
+    of differences s, in the coordinates C, and the value h.  While the same
+    pair or facet attains the minimum, h(w) = |s - (w^.s) w^| with w^ = C w,
+    the length of s's part orthogonal to w^, so the gradient is closed-form
+    (Danskin's envelope theorem) and costs no further evaluation."""
 
     ceiling = None
 
@@ -322,30 +366,30 @@ class _IntervalClimbEngine:
         self.Xn, self.Xp = PC[y < 0], PC[y > 0]
 
     def minimum(self, w):
-        """(v, value): the minimizing unit direction in R^d and the score."""
+        """(v, value, s): the minimizing unit direction in R^d, the score and
+        the attaining combination of differences in the coordinates C (None
+        at a zero score)."""
         # orthonormalize's drop rule: a w inside span(N) adds no constraint
         tol = RANK_TOL * max(1.0, float(np.abs(w).max()))
         H = _reflector_complement(self.C @ w, tol)
         if H.shape[0] == 0:
             raise EmptySubspaceError("constraints leave no direction for the score")
-        u, value = _interval_minimum(self.Xn @ H.T, self.Xp @ H.T)
-        return (u @ H) @ self.C, float(value)
+        u, value, c = _interval_minimum(self.Xn @ H.T, self.Xp @ H.T)
+        nn = self.Xn.shape[0]
+        s = None if c is None else c[:nn] @ self.Xn + c[nn:] @ self.Xp
+        return (u @ H) @ self.C, float(value), s
 
     def value(self, w, warm=None):
         self.evaluations += 1
-        return self.minimum(w)[1], None
+        _, value, s = self.minimum(w)
+        return value, (s, value)
 
-    def gradient(self, w, warm, E):
-        """Central differences of the value along the tangent basis E, with
-        step ``FD_STEP``."""
-        g = np.zeros(E.shape[0])
-        for i, e in enumerate(E):
-            wp = w + FD_STEP * e
-            wp /= np.linalg.norm(wp)
-            wm = w - FD_STEP * e
-            wm /= np.linalg.norm(wm)
-            g[i] = (self.value(wp)[0] - self.value(wm)[0]) / (2 * FD_STEP)
-        return E.T @ g
+    def gradient(self, w, warm):
+        """-(w^.s)/h C^T s from the warm state (s, h); 0 at a zero score."""
+        s, h = warm
+        if s is None:
+            return np.zeros_like(w)
+        return (-float((self.C @ w) @ s) / h) * (self.C.T @ s)
 
 
 # ---------------------------------------------------------------------------
@@ -519,11 +563,16 @@ def _tangent_basis(w: np.ndarray, keep_normals) -> np.ndarray:
     return complement_basis(_with_normals(w, keep_normals)).vectors
 
 
+def _tangent(v, w, K):
+    """v's part orthogonal to the unit w and to the orthonormal rows of K,
+    w orthogonal to them: its projection onto the climb's tangent space."""
+    return v - K.T @ (K @ v) - (w @ v) * w
+
+
 PENALTY_WEIGHT = 1.0
 STEP0 = 0.25              # first and largest climb step, along the tangent
 STEP_MIN = 1e-8           # a climb stops once its step falls below this
 MAX_ITER = 2000           # climb iterations per start
-FD_STEP = 1e-5            # central-difference step of the interval gradient
 ACCEPT_MARGIN = 1e-15     # a step must raise the value by more than this
 INNER_TOL = 1e-12         # KKT violation target for the svm dual
 INNER_MAX_ITER = 200000   # SMO iteration budget per svm evaluation
@@ -542,21 +591,21 @@ def _compass(E: np.ndarray) -> list[np.ndarray]:
     return dirs
 
 
-def _boundary_candidate(w, gt, a, E, step):
+def _boundary_candidate(w, gt, a, K, step):
     """One projected-gradient step (Rosen 1960) along the facet
     {x : a . x = KEEP_FLOOR} of the unit normal a, or None when the facet
-    leaves no such step.
+    leaves no such step.  The climb moves on the sphere orthogonal to the
+    orthonormal rows of K.
 
     The tangent gradient gt loses only its part along -a_t, where a_t is a's
     tangent part: the outward part, along which the slack falls.  The step
     of length ``step`` is then retracted, in closed form, to the nearest
-    point of the sphere in span(w, E), where the climb moves, at which
-    a . x = KEEP_FLOOR."""
-    at = E.T @ (E @ a)
+    point of the sphere orthogonal to K at which a . x = KEEP_FLOOR."""
+    at = _tangent(a, w, K)
     nt = np.linalg.norm(at)
     if nt == 0.0:
         return None
-    av = (a @ w) * w + at  # a's part in span(w, E)
+    av = (a @ w) * w + at  # a's part orthogonal to K
     nv = np.linalg.norm(av)
     h = KEEP_FLOOR / nv  # the facet's level along the unit av / nv
     d = gt - min(0.0, float(gt @ at) / nt) * (at / nt)
@@ -579,20 +628,34 @@ def _climb(ps, spec, w0, keep_normals, oracle: SlackOracle | None, hidden):
     step could be accepted only on inner-solver noise, and a best feasible
     value within ``ACCEPT_MARGIN`` of it is returned as the ceiling itself.
 
-    The gradient step is tried first (greedy).  The oracle's slack turns
-    into an exact penalty (value + weight * min(0, slack)), and a step is
-    accepted only when it raises the penalized value, so accepted steps
-    never decrease it.  When the gradient step would raise the value but
-    the penalty refuses it, and the oracle names the facet that sets its
-    slack at w (``SlackOracle.active_normal``), the one candidate tried is
-    a step along that facet (``_boundary_candidate``): the gradient without
-    its outward part, retracted onto the sphere at the facet's level
-    a . x = KEEP_FLOOR, where a kept facet's slack is 0.  Otherwise, when the gradient step is rejected, an eight-point
-    tangent compass is probed in order of decreasing value.  With an oracle
-    the result is the best feasible point visited, if any.  The DEBUG stop
-    line counts the boundary steps tried and accepted."""
+    Each iteration takes the engine's gradient from the warm state of the
+    last accepted evaluation, with no evaluation of its own, and projects it
+    onto the tangent space: orthogonal to w and to the keep normals, which
+    are orthonormalized once per climb.  The gradient step is tried first
+    (greedy).  The oracle's slack turns into an exact penalty (value +
+    weight * min(0, slack)), and a step is accepted only when it raises the
+    penalized value, so accepted steps never decrease it.  When the gradient
+    step would raise the value but the penalty refuses it, and the oracle
+    names the facet that sets its slack at w (``SlackOracle.active_normal``),
+    the one candidate tried is a step along that facet
+    (``_boundary_candidate``): the gradient without its outward part,
+    retracted onto the sphere at the facet's level a . x = KEEP_FLOOR, where
+    a kept facet's slack is 0.  Otherwise, when the gradient step is
+    rejected, the compass is probed in order of decreasing value.  On a
+    one-dimensional tangent space with a nonzero gradient the compass is the
+    one direction against the gradient, the other being the refused gradient
+    step; otherwise it is ``_compass`` of a tangent basis (``_tangent_basis``,
+    built only then).  With an oracle the result is the
+    best feasible point visited, if any.  The DEBUG stop line counts the
+    evaluations, the compass probes and the boundary steps tried and
+    accepted."""
     engine_cls = _SvmClimbEngine if spec.kind == "svm" else _IntervalClimbEngine
     engine = engine_cls(ps, spec, keep_normals, hidden)
+    if keep_normals is not None and len(keep_normals):
+        K = orthonormalize(np.asarray(keep_normals, dtype=float)).vectors
+    else:
+        K = np.zeros((0, ps.d))
+    tangent_dim = ps.d - 1 - K.shape[0]
 
     def penalized(wv, fv):
         if oracle is None:
@@ -631,6 +694,7 @@ def _climb(ps, spec, w0, keep_normals, oracle: SlackOracle | None, hidden):
     ceiling = engine.ceiling
     reason = "max_iter"
     edge_tried = edge_accepted = 0  # boundary steps
+    compass_probes = 0
     for iterations in range(MAX_ITER):
         if (ceiling is not None and best_feasible is not None
                 and best_feasible[1] >= ceiling - ACCEPT_MARGIN):
@@ -639,11 +703,10 @@ def _climb(ps, spec, w0, keep_normals, oracle: SlackOracle | None, hidden):
         if step <= STEP_MIN:
             reason = "step"
             break
-        E = _tangent_basis(w, keep_normals)
-        if E.shape[0] == 0:
+        if tangent_dim == 0:
             reason = "no tangent"
             break
-        gt = E.T @ (E @ engine.gradient(w, warm, E))
+        gt = _tangent(engine.gradient(w, warm), w, K)
         gn = np.linalg.norm(gt)
         outcome = try_step(*probe(gt / gn)) if gn > 0 else None
         moved = bool(outcome)
@@ -651,14 +714,18 @@ def _climb(ps, spec, w0, keep_normals, oracle: SlackOracle | None, hidden):
         # oracle is set; step along the facet that blocks, if it names one
         edge = None
         if outcome is False and (a := oracle.active_normal(w)) is not None:
-            edge = _boundary_candidate(w, gt, a, E, step)
+            edge = _boundary_candidate(w, gt, a, K, step)
         if edge is not None:
             edge_tried += 1
             moved = bool(try_step(*engine.value(edge, warm), edge))
             edge_accepted += moved
         elif not moved:
-            scored = sorted((probe(dvec) for dvec in _compass(E)),
-                            key=lambda t: -t[0])
+            if tangent_dim == 1 and gn > 0:
+                dirs = [-gt / gn]
+            else:
+                dirs = _compass(_tangent_basis(w, keep_normals))
+            compass_probes += len(dirs)
+            scored = sorted((probe(dvec) for dvec in dirs), key=lambda t: -t[0])
             for cand in scored:
                 outcome = try_step(*cand)
                 if outcome is not False:  # accepted, or no later entry can win
@@ -672,9 +739,9 @@ def _climb(ps, spec, w0, keep_normals, oracle: SlackOracle | None, hidden):
         if ceiling is not None and fval >= ceiling - ACCEPT_MARGIN:
             fval = ceiling  # certified: no direction scores above it
     _log.debug("%s climb stopped (%s) after %d iterations, %d evaluations, "
-               "%d of %d boundary steps accepted, value %.17g", spec.kind,
-               reason, iterations, engine.evaluations, edge_accepted, edge_tried,
-               fval)
+               "%d compass probes, %d of %d boundary steps accepted, "
+               "value %.17g", spec.kind, reason, iterations, engine.evaluations,
+               compass_probes, edge_accepted, edge_tried, fval)
     return w, fval, trace
 
 

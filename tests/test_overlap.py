@@ -211,7 +211,7 @@ class TestFValue:
             w /= np.linalg.norm(w)
             E = _tangent_basis(w, None)
             _, alpha = engine.value(w)
-            grad = engine.gradient(w, alpha, E)
+            grad = engine.gradient(w, alpha)
             for e in E:
                 h = 1e-6
                 wp = (w + h * e) / np.linalg.norm(w + h * e)
@@ -298,8 +298,10 @@ class TestMaximize:
 # golden interval climbs: every figure must be reproduced bit for bit.
 # "reduced-1" (a one-dimensional reduced space) was recorded when the interval
 # score first took its bases from one keep-normal complement per climb and a
-# Householder reflector per direction; the others when its minimum over
-# directions became exact
+# Householder reflector per direction; "no-normals" when its minimum over
+# directions became exact; "reduced-2", "reduced-3" and "feasibility" when
+# the climb took the interval gradient in closed form, which moved them in
+# the last digits
 
 # name: (seed, n, d, k, keep normals, starts, keep);
 # the reduced space of the inner score has d - 1 - (keep normals) dimensions
@@ -322,16 +324,16 @@ _INTERVAL_GOLDEN = {
          ([0.6107030736060522, 0.7397499725648218, 0.28250970598984115],
           0.7085717698868366)]),
     "reduced-2": (
-        0.4255650061604704,
-        [-0.5629180965614307, 0.5696512477679868, 0.2169540527827842,
-         0.558168085312262],
-        (18, "23685586ab1b2c0bb3b513a8dc8a724390ac571b971750a51873ea8d63ff76ee"),
+        0.42556500616047505,
+        [-0.5629180965673017, 0.5696512477686545, 0.21695405275897234,
+         0.558168085314915],
+        (18, "3b673a83373d789290b243b38a8e2dbfe890ce73351f5eddace6d369322fe2ce"),
         None),
     "reduced-3": (
-        0.21118951455699714,
-        [-0.40161011466370217, -0.48548724425114703, 0.6302991906698423,
-         -0.44581266683288456, 0.08357899138855847],
-        (14, "a736efe185931017299cd4e3451a60e9f88c9f6c52eb5871a1dfc362e67773b7"),
+        0.2111895145569971,
+        [-0.4016101146611885, -0.4854872442948314, 0.6302991906587461,
+         -0.44581266679299225, 0.08357899144335292],
+        (14, "1281e5b6b116e2e364a5b249a35440dd050f55bd9f7214386d14d85df2a7b843"),
         None),
     "no-normals": (
         1.1102230246251565e-16,
@@ -340,9 +342,9 @@ _INTERVAL_GOLDEN = {
         (1, "9374afea1ce68c7feda0c46ebd1709621d25fef97b7c334890f53f7933e8c64e"),
         None),
     "feasibility": (
-        0.4930332334663978,
-        [-0.5185031937291158, 0.3899680022807267, 0.760972663957048],
-        (16, "5c8e50babe5266361a11290782ce7fe875a12177492794d12525889ea14b8474"),
+        0.4930332334663979,
+        [-0.5185031937279231, 0.3899680022795357, 0.760972663958471],
+        (16, "57bc90ba53c864eb68a92075ad69a486096426ca31cfce9946c15b3bd393c88a"),
         None),
 }
 
@@ -550,14 +552,64 @@ class TestIntervalDegenerate:
 
 
 # ---------------------------------------------------------------------------
+# the closed-form interval gradient, -(w.s)/h s from the attaining combination
+# of differences s, against central differences of the exact score
+
+
+@pytest.mark.parametrize("k", [0, 1])
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_interval_gradient_matches_central_differences(m, k):
+    from sepproj.overlap import _IntervalClimbEngine
+    d = m + 1 + k  # the score is minimized over m dimensions
+    ps = _generic_instance(d, n=24)
+    N = _random_normals(d, k) if k else None
+    engine = _IntervalClimbEngine(ps, OverlapSpec(kind="interval"), N, 0)
+    rng = np.random.default_rng([m, k, 15])
+    h = 1e-6
+    for _ in range(20):
+        w = rng.normal(size=d)
+        if k:
+            w -= N[0] * (N[0] @ w)
+        w = _unit(w)
+        value, warm = engine.value(w)
+        assert value > 0.0
+        grad = engine.gradient(w, warm)
+        for e in overlap._tangent_basis(w, N):
+            fd = (engine.value(_unit(w + h * e))[0]
+                  - engine.value(_unit(w - h * e))[0]) / (2 * h)
+            assert abs(fd - grad @ e) <= 1e-7 * max(1.0, np.linalg.norm(grad))
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_interval_gradient_is_zero_at_a_zero_score(d):
+    # the sides lie on either side of x_0 = 0, which every projection along
+    # a w orthogonal to the first axis keeps
+    from sepproj.overlap import _IntervalClimbEngine
+    rng = np.random.default_rng([d, 16])
+    labels = np.where(np.arange(10) % 2, 1, -1)
+    pts = rng.normal(size=(10, d))
+    pts[:, 0] = labels * (np.abs(pts[:, 0]) + 0.5)
+    engine = _IntervalClimbEngine(_labeled(pts, labels),
+                                  OverlapSpec(kind="interval"), None, 0)
+    for _ in range(5):
+        w = rng.normal(size=d)
+        w[0] = 0.0
+        w = _unit(w)
+        value, warm = engine.value(w)
+        assert value == 0.0
+        assert engine.gradient(w, warm).tolist() == [0.0] * d
+
+
+# ---------------------------------------------------------------------------
 # golden svm climbs: every figure must be reproduced bit for bit.  "cube-oracle"
-# was recorded when a climb blocked by the feasibility oracle first stepped
-# along the oracle's active facet; "cube-oracle-compass" runs the same case
-# under an oracle that reports no facet, so it probes the compass instead,
-# and keeps the figures recorded when the oracle first tested the kept
-# property's eliminating-direction cone.  "cube-free" and "planted-normals"
-# reach the ceiling 2 min(n+, n-) / n, and were recorded when the climb first
-# reported a value that reaches it as the ceiling itself
+# tests a climb blocked by the feasibility oracle, which steps along the
+# oracle's active facet; "cube-oracle-compass" runs the same case under an
+# oracle that reports no facet, so it probes the compass instead.  "cube-free"
+# and "planted-normals" reach the ceiling 2 min(n+, n-) / n, which the climb
+# reports as the value.  All four were re-recorded when the climb first
+# projected its gradient onto the tangent space without a tangent basis,
+# which moved them in the last digits and raised "cube-oracle"'s first start
+# from 0.8833674145999013 to its second start's value, within 1e-16
 
 # name: (spec lam, starts, seed); "cube" cases run on gen_cube_two_maxima(0.2)
 _SVM_CASES = {
@@ -571,37 +623,37 @@ _SVM_CASES = {
 _SVM_GOLDEN = {
     "cube-free": (
         8 / 9,
-        [0.20075433602552475, 0.17226934346667275, 0.9643759484083542],
-        (5, "ac4d61dc4fd1e875c81f491ef1d3f9c5b8df8730f02fec43bda06ca6f97fd675"),
-        [([0.20075433602552475, 0.17226934346667275, 0.9643759484083542], 8 / 9),
-         ([0.1913689356176097, 0.14874139217560717, 0.9701824203386936], 8 / 9),
-         ([-0.15285789958564028, -0.1186460279343343, -0.981100189883618],
+        [0.20075433602552475, 0.1722693434666728, 0.9643759484083542],
+        (5, "9c97d216ff2b849994081f1186d3812bc60930c3d26ce92b0f2b0aeaef9c40a1"),
+        [([0.20075433602552475, 0.1722693434666728, 0.9643759484083542], 8 / 9),
+         ([0.1913689356176095, 0.14874139217560697, 0.9701824203386934], 8 / 9),
+         ([-0.1528578995856406, -0.11864602793433454, -0.981100189883618],
           8 / 9)]),
     "cube-oracle": (
-        0.8833674146028683,
-        [0.29389284921575065, 0.6593552457276651, 0.6920098648944669],
-        (11, "434e71643d3a25f266ee1f7e03e16c4b4d67028c558b801378cc15598945a6bf"),
-        [([-0.6593588086553825, -0.29387986342278827, -0.6920119849562998],
-          0.8833674145999013),
-         ([0.29389284921575065, 0.6593552457276651, 0.6920098648944669],
+        0.8833674146028684,
+        [-0.6593552694521355, -0.2938927627488949, -0.692009879011509],
+        (14, "482d4a91befca6cfefa0f9c6f773b895c2d9f46d588bb8655c294300ed56327b"),
+        [([-0.6593552694521355, -0.2938927627488949, -0.692009879011509],
+          0.8833674146028684),
+         ([0.2938928492157506, 0.6593552457276651, 0.6920098648944669],
           0.8833674146028683)]),
     "cube-oracle-compass": (
         0.883053214862724,
-        [0.06546621887787968, 0.7019435719451346, 0.709217453247408],
-        (11, "70c7170dfa98c5a6bc88b889b5418fec87fd419fe8dac84a1097347ef3c551dd"),
-        [([-0.6974239032927418, 0.1649242159509552, -0.6974237607859938],
+        [0.06546621887787969, 0.7019435719451347, 0.7092174532474079],
+        (11, "1940bb3e3804c532df034765bbbf39fce4855851c5fe0195319c0085b84706ba"),
+        [([-0.6974239032927417, 0.16492421595095497, -0.6974237607859939],
           0.8826808100691702),
-         ([0.06546621887787968, 0.7019435719451346, 0.709217453247408],
+         ([0.06546621887787969, 0.7019435719451347, 0.7092174532474079],
           0.883053214862724)]),
     "planted-normals": (
         0.75,
-        [-0.27410834448381227, 0.927295555618756, 0.0064800655389283856,
-         -0.2548442205831981],
-        (2, "2c859b93a06e9a589121f1805b231cda776837df6050eb2329fc3ffe52e33685"),
-        [([-0.27410834448381227, 0.927295555618756, 0.0064800655389283856,
-           -0.2548442205831981], 0.75),
-         ([0.394792516557437, -0.777090917953519, -0.12903338269907325,
-           0.47288366460857734], 0.75)]),
+        [-0.2741083444838123, 0.9272955556187558, 0.006480065538928343,
+         -0.25484422058319817],
+        (2, "dbdb9041d887ccdf06469e905eac5fd9cc733a605225b38ce4cd9d1b8735a9f9"),
+        [([-0.2741083444838123, 0.9272955556187558, 0.006480065538928343,
+           -0.25484422058319817], 0.75),
+         ([0.39479251655743697, -0.7770909179535194, -0.12903338269907333,
+           0.47288366460857717], 0.75)]),
 }
 
 
@@ -751,6 +803,7 @@ def test_boundary_candidate_lies_on_the_facet(k):
     rng = np.random.default_rng(5 + k)
     d = 5
     N = orthonormalize(rng.normal(size=(k, d))).vectors if k else None
+    K = N if k else np.zeros((0, d))
     for _ in range(20):
         w = rng.normal(size=d)
         if k:
@@ -759,7 +812,7 @@ def test_boundary_candidate_lies_on_the_facet(k):
         E = overlap._tangent_basis(w, N)
         a = _unit(rng.normal(size=d))
         gt = E.T @ (E @ rng.normal(size=d))
-        x = overlap._boundary_candidate(w, gt, a, E, 0.1)
+        x = overlap._boundary_candidate(w, gt, a, K, 0.1)
         assert abs(np.linalg.norm(x) - 1.0) <= 1e-15
         assert abs(a @ x - KEEP_FLOOR) <= 1e-15
         if k:
@@ -786,6 +839,59 @@ def test_boundary_steps_are_logged(caplog):
     accepted, attempted = (int(g) for g in tried[0].groups())
     assert 0 < accepted <= attempted
     assert tried[1].groups() == ("0", "0")
+
+
+# ---------------------------------------------------------------------------
+# evaluations per climb iteration: the gradient comes from the last accepted
+# evaluation, and on a one-dimensional tangent space the only compass probe
+# is the one against the refused gradient step
+
+_STOP_LINE = re.compile(r"after (\d+) iterations, (\d+) evaluations, "
+                        r"(\d+) compass probes")
+
+
+def _interval_stop_lines(name, caplog):
+    with caplog.at_level(logging.DEBUG, logger="sepproj.overlap"):
+        _interval_climb(name)
+    return [tuple(int(g) for g in _STOP_LINE.search(r.getMessage()).groups())
+            for r in caplog.records if r.name == "sepproj.overlap"]
+
+
+def test_one_dimensional_climbs_evaluate_at_most_twice_per_iteration(
+        caplog, monkeypatch):
+    # central differences and the two-point compass made 202 and 240
+    # evaluations for these 43 and 53 iterations
+    calls = 0
+    basis = overlap._tangent_basis
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return basis(*args)
+
+    monkeypatch.setattr(overlap, "_tangent_basis", counted)
+    lines = _interval_stop_lines("reduced-1", caplog)
+    assert len(lines) == 2
+    for iterations, evaluations, probes in lines:
+        assert iterations > 0
+        assert evaluations <= 2 * iterations
+        # one start, one gradient probe per iteration, at most one compass
+        # probe per iteration
+        assert probes <= iterations
+        assert evaluations == 1 + iterations + probes
+    assert calls == 0
+
+
+def test_compass_probes_are_logged(caplog):
+    # the "no-normals" score is 0 up to rounding around its start, so its
+    # gradient is exactly 0: every iteration probes the whole compass of its
+    # three-dimensional tangent space, 8 points of a circle and +-the third
+    # basis vector, and nothing else
+    [(iterations, evaluations, probes)] = _interval_stop_lines("no-normals",
+                                                                caplog)
+    assert iterations > 0
+    assert probes == 10 * iterations
+    assert evaluations == 1 + probes
 
 
 # ---------------------------------------------------------------------------
@@ -857,8 +963,13 @@ def _interval_sides(draw):
 def test_interval_minimum_matches_facet_reference(sides):
     from sepproj.overlap import _interval_minimum
     Xn, Xp = sides
-    u, value = _interval_minimum(Xn, Xp)
+    u, value, c = _interval_minimum(Xn, Xp)
     scale = max(1.0, float(np.abs(np.vstack(sides)).max()))
     assert abs(np.linalg.norm(u) - 1.0) <= 1e-12
     assert value == _interval_at(Xn, Xp, u)
     assert abs(value - _facet_reference(Xn, Xp)) <= 1e-9 * scale
+    # the attaining combination of differences is the foot point value u
+    if c is not None:
+        assert value > 0.0
+        assert abs(c.sum()) <= 1e-9
+        assert np.abs(c @ np.vstack(sides) - value * u).max() <= 1e-9 * scale
