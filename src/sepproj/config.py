@@ -11,11 +11,13 @@ verdicts, and no function takes them as arguments:
   when a point is recombined from barycentric or common-point coefficients,
   and the length below which an eliminating direction counts as zero.
 * ``LP_TOL`` decides separation: an LP optimum may violate a row by this much
-  (times the data scale), and a separation slack must exceed it to count as
-  strict.
+  (times the data scale).  A nearest-point plane counts as strict when its
+  margin exceeds it times the radius of the centred data; on the LP
+  fallback, the maximum slack must exceed it.
 
-They are absolute, so a verdict can change when the input is rescaled far
-below unit scale; deriving them from the input's scale is ROADMAP item 1.
+``RANK_TOL``, ``GEOM_TOL`` and the LP's use of ``LP_TOL`` are absolute, so
+a verdict that rests on them can change when the input is rescaled far below
+unit scale; deriving them from the input's scale is ROADMAP item 1.
 """
 from __future__ import annotations
 

@@ -8,10 +8,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import LP_TOL
 from .data import LabeledPointSet
 from .errors import BadParamsError, EpsilonTooLargeError, SamplingFailedError
-from .separability import Hyperplane, linear_separability, max_slack_separator
+from .separability import Hyperplane, linear_separability
 
 
 @dataclass
@@ -102,8 +101,7 @@ def gen_missing_label(k: int, d: int, epsilon: float) -> LabeledPointSet:
     if len(ps.label_tuples()) != 2 ** k - 1:
         raise BadParamsError("internal label census failed")
     for i in range(k):
-        slack, _, _ = max_slack_separator(ps.side(i, -1), ps.side(i, +1))
-        if slack <= LP_TOL:
+        if not linear_separability(ps.side(i, -1), ps.side(i, +1)).separable:
             raise BadParamsError(f"property {i} failed its separability check")
     return ps
 
@@ -204,8 +202,7 @@ def gen_cube_two_maxima(epsilon: float) -> LabeledPointSet:
     a2[7] = -1  # the (1,1,1) corner flips on the second property
     ps = LabeledPointSet(pts, np.vstack([a1, a2]))
     for i in range(2):
-        slack, _, _ = max_slack_separator(ps.side(i, -1), ps.side(i, +1))
-        if slack <= LP_TOL:
+        if not linear_separability(ps.side(i, -1), ps.side(i, +1)).separable:
             raise BadParamsError(f"property {i} failed its separability check")
     return ps
 

@@ -519,7 +519,7 @@ def separability_feasibility(ps: LabeledPointSet, keep: tuple[int, ...],
 
     On a line (d = 1) every projection leaves a single point, so no kept
     property can stay separable: a nonempty ``keep`` there raises
-    ``EmptySubspaceError`` before any LP.
+    ``EmptySubspaceError`` before any separability check.
     """
     if keep and ps.d == 1:
         raise EmptySubspaceError(

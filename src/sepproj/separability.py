@@ -1,16 +1,22 @@
 """Separability predicates with certificates.
 
-Strict linear separability is decided by a maximum-slack LP (max s with
-v.p <= c - s for one side, v.q >= c + s for the other, |v|_inf <= 1); the
-non-strict variant is decided exactly by fixing one coordinate of the normal
-to +-1.  Inseparability is certified by a common hull point with convex
-coefficients on both sides.  Certificates are re-validated arithmetically on
-every call.
+Strict linear separability is decided by one nearest-point solve: the
+minimum-norm point x of conv(Q) - conv(P), by Wolfe's algorithm on data
+centred and scaled to unit radius.  When |x| > 0, x/|x| is the normal of the
+maximum-margin plane.  When x = 0, the weights of the final corral, at most
+d+1 pairs (p_i, q_j), give a common hull point.  A solve that gives neither
+accepted answer falls back to a maximum-slack LP (max s with v.p <= c - s for
+one side, v.q >= c + s for the other, |v|_inf <= 1) and a common-point LP.
+The non-strict variant is decided exactly by fixing one coordinate of the
+normal to +-1.  Inseparability is certified by a common hull point with
+convex coefficients on both sides.  Certificates are re-validated
+arithmetically on every call.
 """
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -26,6 +32,8 @@ from .geometry import as_points
 from .lp import solve_lp
 
 _log = logging.getLogger(__name__)
+
+_ZERO_NORM = 1e-12  # |x| at which the nearest point is the origin, in unit-radius data
 
 
 @dataclass(frozen=True)
@@ -181,17 +189,38 @@ def _affine_minimizer(S):
         return np.linalg.lstsq(A, b, rcond=None)[0][:k]
 
 
-def _hard_margin_direction(P, Q, max_iter: int = 1000):
-    """Maximum-margin direction: the minimum-norm point x of
-    conv(Q) - conv(P), normalized, or None when it is not found.
+class _NearestPoint(NamedTuple):
+    """Outcome of ``_nearest_point``: a unit ``direction`` (a plane),
+    convex weights ``lam`` over P and ``mu`` over Q (a common point), or
+    neither, with the ``reason`` the iteration gave up.  ``radius`` is the
+    largest coordinate of the centred data, by which it was scaled."""
+
+    direction: np.ndarray | None
+    lam: np.ndarray | None
+    mu: np.ndarray | None
+    iterations: int
+    radius: float
+    reason: str | None = None
+
+
+def _nearest_point(P, Q, max_iter: int = 1000) -> _NearestPoint:
+    """The minimum-norm point x of conv(Q) - conv(P), which settles strict
+    separability: |x| > 0 gives the maximum-margin direction x/|x|, and x = 0
+    gives a common point of the two hulls.
 
     Wolfe's nearest-point algorithm on the differences q_j - p_i, which are
     never formed all at once: the vertex minimizing x.(q_j - p_i) is the
     argmin of x.q_j against the argmax of x.p_i.  The corral S holds such
-    differences, and x is their combination with positive weights lam summing
-    to 1.  The major cycle stops once |x|^2 - x.z <= 1e-13 |x|^2, or once it
-    fails to lower |x|^2.  The data is centred and scaled to unit radius
-    first, so the direction does not depend on the input's scale.
+    differences, each with its pair (i, j), and x is their combination with
+    positive weights w summing to 1.  The data is centred and scaled to unit
+    radius first, so the outcome does not depend on the input's scale.
+
+    The major cycle stops once |x| <= ``_ZERO_NORM``: the corral weights,
+    summed per row of P and per row of Q, are then ``lam`` and ``mu``, and
+    the corral, being affinely independent, has at most d+1 pairs
+    (Carathéodory).  It also stops once |x|^2 - x.z <= 1e-13 |x|^2, or once
+    a cycle fails to lower |x|^2; the direction counts as converged when the
+    gap is at most 1e-6 |x|^2.
     """
     X = np.vstack([P, Q])
     c = X.mean(axis=0)
@@ -199,71 +228,74 @@ def _hard_margin_direction(P, Q, max_iter: int = 1000):
     P0, Q0 = (P - c) / s, (Q - c) / s
 
     def vertex(x):
-        return Q0[int(np.argmin(Q0 @ x))] - P0[int(np.argmax(P0 @ x))]
+        return int(np.argmax(P0 @ x)), int(np.argmin(Q0 @ x))
 
-    S = vertex(Q0.mean(axis=0) - P0.mean(axis=0))[None, :]
-    lam = np.ones(1)
+    pairs = np.array([vertex(Q0.mean(axis=0) - P0.mean(axis=0))])
+    S = Q0[pairs[:, 1]] - P0[pairs[:, 0]]
+    w = np.ones(1)
     x = S[0]
     iterations = 0
     while True:
-        z = vertex(x)
         xx = float(x @ x)
+        if xx <= _ZERO_NORM ** 2:
+            lam = np.bincount(pairs[:, 0], weights=w, minlength=len(P))
+            mu = np.bincount(pairs[:, 1], weights=w, minlength=len(Q))
+            return _NearestPoint(None, lam, mu, iterations, s)
+        ij = vertex(x)
+        z = Q0[ij[1]] - P0[ij[0]]
         gap = xx - float(x @ z)
         if not np.isfinite(xx) or gap <= 1e-13 * xx or iterations == max_iter:
             break
         iterations += 1
         S = np.vstack([S, z])
-        lam = np.append(lam, 0.0)
+        pairs = np.vstack([pairs, ij])
+        w = np.append(w, 0.0)
         while True:
             alpha = _affine_minimizer(S)
             if alpha.min() > 1e-14:
-                lam = alpha
+                w = alpha
                 break
-            # step from lam towards alpha until the first weight reaches zero;
-            # entries with alpha_i >= lam_i cannot block (0/0 when equal)
-            out = np.flatnonzero((alpha <= 1e-14) & (alpha < lam))
-            ratios = lam[out] / (lam[out] - alpha[out])
+            # step from w towards alpha until the first weight reaches zero;
+            # entries with alpha_i >= w_i cannot block (0/0 when equal)
+            out = np.flatnonzero((alpha <= 1e-14) & (alpha < w))
+            ratios = w[out] / (w[out] - alpha[out])
             if out.size and ratios.min() < 1.0:
                 k = int(np.argmin(ratios))
-                lam = ratios[k] * alpha + (1.0 - ratios[k]) * lam
-                lam[out[k]] = 0.0
-                keep = lam > 0.0
+                w = ratios[k] * alpha + (1.0 - ratios[k]) * w
+                w[out[k]] = 0.0
+                keep = w > 0.0
             else:
-                lam = alpha
+                w = alpha
                 keep = alpha > 1e-14
-            S, lam = S[keep], lam[keep] / lam[keep].sum()
-        x_new = lam @ S
+            S, pairs, w = S[keep], pairs[keep], w[keep] / w[keep].sum()
+        x_new = w @ S
         if float(x_new @ x_new) >= xx:
             break
         x = x_new
-    nx = float(np.sqrt(xx))
-    if nx <= 0 or not np.isfinite(nx) or gap > 1e-6 * xx:
-        _log.debug("hard-margin nearest-point iteration gave no direction after "
-                   "%d iterations (relative gap %.3g, |x| %.3g); keeping the LP "
-                   "direction", iterations, gap / xx if xx > 0 else float("nan"),
-                   nx * s)
-        return None
-    return x / nx
+    if gap <= 1e-6 * xx:
+        return _NearestPoint(x / np.sqrt(xx), None, None, iterations, s)
+    if iterations == max_iter:
+        reason = "iteration budget spent"
+    elif np.isfinite(xx):
+        reason = f"stalled at relative gap {gap / xx:.3g}, |x| {np.sqrt(xx) * s:.3g}"
+    else:
+        reason = "non-finite iterate"
+    return _NearestPoint(None, None, None, iterations, s, reason)
 
 
-def _best_plane(P, Q, candidates):
-    """Pick the candidate direction with the widest gap; return plane + margin."""
-    best = None
-    for v in candidates:
-        if v is None:
-            continue
-        nv = np.linalg.norm(v)
-        if nv <= 0:
-            continue
-        u = v / nv
-        gap = Q @ u
-        lo = float((P @ u).max())
-        hi = float(gap.min())
-        margin = 0.5 * (hi - lo)
-        if best is None or margin > best[1]:
-            best = (u, margin, 0.5 * (hi + lo))
-    u, margin, c = best
-    return Hyperplane(u, c), max(margin, 0.0)
+def _plane_along(P, Q, v):
+    """The plane with unit normal along v halfway across the gap between the
+    sides, and its margin (half that gap, at least 0)."""
+    u = v / np.linalg.norm(v)
+    lo = float((P @ u).max())
+    hi = float((Q @ u).min())
+    return Hyperplane(u, 0.5 * (hi + lo)), max(0.5 * (hi - lo), 0.0)
+
+
+def _common_point_tol(P, Q) -> float:
+    """Recombination residual allowed to a common-point certificate."""
+    scale = max(1.0, float(np.abs(P).max()), float(np.abs(Q).max()))
+    return max(GEOM_TOL, 10 * LP_TOL * scale)
 
 
 def linear_separability(P, Q, strict: bool = True) -> SeparationResult:
@@ -272,26 +304,66 @@ def linear_separability(P, Q, strict: bool = True) -> SeparationResult:
     Separable results carry the best hyperplane found (maximum Euclidean
     margin when strict); inseparable results carry a certified common hull
     point.
+
+    One nearest-point solve (``_nearest_point``) settles the strict
+    question.  Its plane is accepted when the margin exceeds ``LP_TOL`` times
+    the radius of the centred data, and its common point when it passes the
+    check that ``common_point`` makes.  Otherwise the maximum-slack LP and
+    ``common_point`` decide, as the fallback.  The weak question after a
+    common point is ``weak_separator``'s.  Each decision logs its path at
+    DEBUG under ``sepproj.separability``.
     """
     P, Q = _check_pair(P, Q)
-    slack, v_lp, _ = max_slack_separator(P, Q)
-    if slack > LP_TOL:
-        plane, margin = _best_plane(P, Q, [v_lp, _hard_margin_direction(P, Q)])
-        result = SeparationResult(True, strict=True, hyperplane=plane, margin=margin)
-        result.validate(P, Q)
-        return result
+    near = _nearest_point(P, Q)
+    fallback = near.reason
+    if near.direction is not None:
+        plane, margin = _plane_along(P, Q, near.direction)
+        if margin > LP_TOL * near.radius:
+            return _decided(SeparationResult(True, strict=True, hyperplane=plane,
+                                             margin=margin), P, Q, near)
+        fallback = (f"margin {margin:.3g} is not above LP_TOL times the radius "
+                    f"{near.radius:.3g}")
+    common = None
+    if near.lam is not None:
+        x = 0.5 * (near.lam @ P + near.mu @ Q)
+        try:
+            check_common_point_certificate(P, Q, x, near.lam, near.mu,
+                                           tol=_common_point_tol(P, Q))
+            common, fallback = (x, near.lam, near.mu), None
+        except InvalidCertificateError as exc:
+            fallback = f"common point refused: {exc}"
+    if common is None:
+        slack, v, _ = max_slack_separator(P, Q)
+        if slack > LP_TOL:
+            plane, margin = _plane_along(P, Q, v)
+            return _decided(SeparationResult(True, strict=True, hyperplane=plane,
+                                             margin=margin), P, Q, near, fallback)
     if not strict:
         weak = weak_separator(P, Q)
         if weak is not None:
             v, c = weak
             nv = np.linalg.norm(v)
             plane = Hyperplane(v / nv, c / nv)
-            result = SeparationResult(True, strict=False, hyperplane=plane, margin=0.0)
-            result.validate(P, Q)
-            return result
-    x, lam, mu = common_point(P, Q)
-    result = SeparationResult(False, point=x, lam=lam, mu=mu)
+            return _decided(SeparationResult(True, strict=False, hyperplane=plane,
+                                             margin=0.0), P, Q, near, fallback)
+    x, lam, mu = common if common is not None else common_point(P, Q)
+    return _decided(SeparationResult(False, point=x, lam=lam, mu=mu), P, Q, near,
+                    fallback)
+
+
+def _decided(result: SeparationResult, P, Q, near: _NearestPoint, fallback=None):
+    """Validate ``result`` and log how it was reached: by the nearest point,
+    or by LP when ``fallback`` gives the reason the nearest point was not
+    used."""
     result.validate(P, Q)
+    verdict = ("common point" if not result.separable
+               else "plane" if result.strict else "weak plane from the weak LP")
+    if fallback is None:
+        _log.debug("linear separability by nearest point: %s after %d iterations",
+                   verdict, near.iterations)
+    else:
+        _log.debug("linear separability by LP: %s; the nearest point gave up after "
+                   "%d iterations: %s", verdict, near.iterations, fallback)
     return result
 
 
@@ -340,7 +412,7 @@ def common_point(P, Q):
     lam /= lam.sum()
     mu /= mu.sum()
     x = 0.5 * (lam @ P + mu @ Q)
-    check_common_point_certificate(P, Q, x, lam, mu, tol=max(GEOM_TOL, 10 * LP_TOL * scale))
+    check_common_point_certificate(P, Q, x, lam, mu, tol=_common_point_tol(P, Q))
     return x, lam, mu
 
 
@@ -530,8 +602,7 @@ class BCCover:
             raise InvalidCertificateError("cover groups do not partition the points")
         for gp in self.groups_p:
             for gq in self.groups_q:
-                slack, _, _ = max_slack_separator(P[list(gp)], Q[list(gq)])
-                if slack <= LP_TOL:
+                if not linear_separability(P[list(gp)], Q[list(gq)]).separable:
                     raise InvalidCertificateError(
                         f"groups {gp} and {gq} are not strictly separable"
                     )
@@ -577,8 +648,7 @@ def bc_separable_bruteforce(P, Q, b: int, c: int):
         key = (gp, gq)
         hit = pair_cache.get(key)
         if hit is None:
-            slack, _, _ = max_slack_separator(P[list(gp)], Q[list(gq)])
-            hit = slack > LP_TOL
+            hit = linear_separability(P[list(gp)], Q[list(gq)]).separable
             pair_cache[key] = hit
         return hit
 

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize
 
-from sepproj.separability import _hard_margin_direction, linear_separability
+from sepproj.separability import _nearest_point, linear_separability
 
 from util import planted_separable_pair
 
@@ -67,16 +67,16 @@ def test_hard_margin_direction_is_scale_invariant():
     rng = np.random.default_rng(31)
     for _ in range(20):
         P, Q, _ = planted_separable_pair(rng, 4, 15, 15, float(rng.uniform(0.01, 0.5)))
-        u0 = _hard_margin_direction(P, Q)
+        u0 = _nearest_point(P, Q).direction
         assert u0 is not None
         for k in range(-40, 41, 5):
-            u = _hard_margin_direction(2.0 ** k * P, 2.0 ** k * Q)
+            u = _nearest_point(2.0 ** k * P, 2.0 ** k * Q).direction
             assert u is not None
             assert np.abs(u - u0).max() <= 1e-12
 
 
 def test_hard_margin_direction_terminates_on_stalling_pair():
     P, Q = _stalling_pair()
-    u = _hard_margin_direction(P, Q)
+    u = _nearest_point(P, Q).direction
     assert u is not None
     assert 0.5 * ((Q @ u).min() - (P @ u).max()) >= 8.199232279677

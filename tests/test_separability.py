@@ -1,8 +1,11 @@
+import functools
 import logging
 
 import numpy as np
 import pytest
 
+from sepproj import separability
+from sepproj.config import LP_TOL
 from sepproj.errors import (
     ActuallySeparableError,
     BruteForceCapError,
@@ -10,12 +13,14 @@ from sepproj.errors import (
     InvalidCertificateError,
 )
 from sepproj.separability import (
-    _hard_margin_direction,
+    _nearest_point,
+    _NearestPoint,
     bc_separable_bruteforce,
     check_common_point_certificate,
     common_point,
     kirchberger_reduce,
     linear_separability,
+    max_slack_separator,
     one_infty_separable,
     one_infty_witness,
     point_in_hull,
@@ -26,6 +31,7 @@ from util import (
     mutual_containment_pair,
     planted_separable_pair,
     random_intersecting_pair,
+    touching_pair,
 )
 
 
@@ -54,19 +60,30 @@ class TestLinearSeparability:
             assert res.separable and res.strict
             assert res.margin >= gamma - 1e-6
 
-    def test_hard_margin_fallback_is_logged(self, caplog):
+    def test_hard_margin_fallback_is_logged(self, caplog, monkeypatch):
         P, Q, _ = planted_separable_pair(np.random.default_rng(13), 4, 15, 15, 0.2)
         with caplog.at_level(logging.DEBUG, logger="sepproj"):
-            assert _hard_margin_direction(P, Q, max_iter=3) is None
+            assert linear_separability(P, Q).separable
         [record] = caplog.records
         assert record.levelno == logging.DEBUG
-        assert record.name.startswith("sepproj")
-        assert "iterations" in record.getMessage()
-        assert "relative gap" in record.getMessage()
+        assert record.name == "sepproj.separability"
+        assert "by nearest point: plane after" in record.getMessage()
         caplog.clear()
+        monkeypatch.setattr(separability, "_nearest_point",
+                            functools.partial(_nearest_point, max_iter=3))
         with caplog.at_level(logging.DEBUG, logger="sepproj"):
-            assert _hard_margin_direction(P, Q) is not None
-        assert caplog.records == []
+            res = linear_separability(P, Q)
+        assert res.separable and res.strict
+        [record] = caplog.records
+        assert "by LP: plane" in record.getMessage()
+        assert "after 3 iterations: iteration budget spent" in record.getMessage()
+
+    def test_common_point_decision_is_logged(self, caplog):
+        P, Q = random_intersecting_pair(np.random.default_rng(9), 3, 10, 10)
+        with caplog.at_level(logging.DEBUG, logger="sepproj"):
+            assert not linear_separability(P, Q).separable
+        [record] = caplog.records
+        assert "by nearest point: common point after" in record.getMessage()
 
     def test_touching_sets_not_strict_but_weakly_separable(self):
         P = [[0.0, 0.0], [-1.0, 0.5]]
@@ -114,6 +131,104 @@ class TestLPRegressions:
             res = linear_separability(P, Q)
             assert res.separable and res.strict, k
             res.validate(P, Q)
+
+
+def _give_up(P, Q, max_iter=1000):
+    return _NearestPoint(None, None, None, 0, 1.0, "given up")
+
+
+def _fallback_cases():
+    rng = np.random.default_rng(41)
+    cases = []
+    for d in (2, 3, 5):
+        cases.append(planted_separable_pair(rng, d, 12, 14, 0.1)[:2])
+        cases.append(random_intersecting_pair(rng, d, 12, 14))
+        cases.append(touching_pair(rng, d, 12, 14))
+    return cases
+
+
+class TestNearestPoint:
+    """The nearest-point solve decides strict separability; the LPs are only
+    its fallback."""
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_planted_pairs_separable_at_every_power_of_two_scale(self, seed):
+        # the planted pairs of the benchmark's certify workload, scaled by
+        # 2^k for k = -40..40; the margin scales with the data
+        P, Q, _ = planted_separable_pair(np.random.default_rng(seed), 3, 15, 15, 0.2)
+        margin = linear_separability(P, Q).margin
+        for k in range(-40, 41):
+            Ps, Qs = 2.0 ** k * P, 2.0 ** k * Q
+            res = linear_separability(Ps, Qs)
+            assert res.separable and res.strict, k
+            res.validate(Ps, Qs)
+            assert res.margin == pytest.approx(2.0 ** k * margin, rel=1e-12), k
+
+    @pytest.mark.parametrize("strict", [True, False])
+    def test_lp_fallback_gives_the_same_verdicts(self, strict, monkeypatch, caplog):
+        cases = _fallback_cases()
+        expected = []
+        for P, Q in cases:
+            res = linear_separability(P, Q, strict=strict)
+            expected.append((res.separable, res.strict))
+        assert len(set(expected)) == (2 if strict else 3)
+        monkeypatch.setattr(separability, "_nearest_point", _give_up)
+        with caplog.at_level(logging.DEBUG, logger="sepproj.separability"):
+            for (P, Q), verdict in zip(cases, expected):
+                res = linear_separability(P, Q, strict=strict)
+                assert (res.separable, res.strict) == verdict
+                res.validate(P, Q)
+        assert len(caplog.records) == len(cases)
+        assert all("by LP" in r.getMessage() and r.getMessage().endswith("given up")
+                   for r in caplog.records)
+
+    @pytest.mark.parametrize("d", range(1, 6))
+    def test_corral_common_point_is_small_and_certified(self, d):
+        rng = np.random.default_rng(100 + d)
+        for _ in range(5):
+            P, Q = random_intersecting_pair(rng, d, 4 * d + 3, 4 * d + 5)
+            near = _nearest_point(P, Q)
+            assert near.direction is None and near.lam is not None
+            assert (near.lam > 0).sum() <= d + 1 and (near.mu > 0).sum() <= d + 1
+            x = 0.5 * (near.lam @ P + near.mu @ Q)
+            check_common_point_certificate(P, Q, x, near.lam, near.mu)
+            res = linear_separability(P, Q)
+            assert np.array_equal(res.lam, near.lam) and np.array_equal(res.mu, near.mu)
+
+    def test_strict_decisions_run_no_lp(self, monkeypatch):
+        def no_lp(*args, **kwargs):
+            raise AssertionError("an LP ran")
+
+        rng = np.random.default_rng(43)
+        pairs = [planted_separable_pair(rng, 4, 20, 20, 0.05)[:2] for _ in range(5)]
+        pairs += [random_intersecting_pair(rng, 4, 20, 20) for _ in range(5)]
+        monkeypatch.setattr(separability, "solve_lp", no_lp)
+        verdicts = [linear_separability(P, Q).separable for P, Q in pairs]
+        assert verdicts == [True] * 5 + [False] * 5
+
+    def test_verdict_matches_the_max_slack_lp(self):
+        # unit-scale pairs: planted pairs with small margins, and Gaussian
+        # clouds shifted apart by 0 to 2.  An inseparable pair's slack is 0;
+        # separable pairs whose slack lies within 1e-6 above the threshold
+        # are skipped
+        compared = {True: 0, False: 0}
+        for seed in range(200):
+            rng = np.random.default_rng([44, seed])
+            d = int(rng.integers(1, 6))
+            n, m = (int(k) for k in rng.integers(2, 20, size=2))
+            if seed % 2:
+                P = rng.normal(size=(n, d))
+                Q = rng.normal(size=(m, d)) + rng.uniform(0.0, 2.0)
+            else:
+                margin = float(rng.uniform(1e-4, 0.3))
+                P, Q, _ = planted_separable_pair(rng, d, n, m, margin)
+            slack, _, _ = max_slack_separator(P, Q)
+            if LP_TOL < slack <= LP_TOL + 1e-6:
+                continue
+            res = linear_separability(P, Q)
+            assert res.separable == (slack > LP_TOL), seed
+            compared[res.separable] += 1
+        assert compared[True] >= 50 and compared[False] >= 50, compared
 
 
 class TestPointInHull:
@@ -265,6 +380,14 @@ class TestBCSeparability:
         flag, cover = bc_separable_bruteforce(P, Q, 1, 1)
         assert flag
         assert len(cover.groups_p) == 1 and len(cover.groups_q) == 1
+
+    def test_one_one_agrees_with_linear_separability(self):
+        rng = np.random.default_rng(25)
+        for _ in range(30):
+            P = rng.normal(size=(int(rng.integers(1, 6)), 2))
+            Q = rng.normal(size=(int(rng.integers(1, 6)), 2)) + rng.uniform(0.0, 3.0)
+            flag, _ = bc_separable_bruteforce(P, Q, 1, 1)
+            assert flag == linear_separability(P, Q).separable
 
     def test_split_cluster_instance(self):
         # two red clusters flanking one blue cluster on a line

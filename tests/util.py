@@ -22,6 +22,17 @@ def planted_separable_pair(rng, d, n, m, margin):
     return P, Q, v
 
 
+def touching_pair(rng, d, n, m):
+    """(P, Q): a planted pair whose sides share one point on the plane
+    v.x = 0, so they are weakly but not strictly separable."""
+    P, Q, v = planted_separable_pair(rng, d, n, m, 0.2)
+    x0 = rng.normal(size=d)
+    x0 -= (x0 @ v) * v
+    P[0] = x0
+    Q[0] = x0
+    return P, Q
+
+
 def random_intersecting_pair(rng, d, n, m, max_tries=200):
     """Point sets whose hulls both contain the origin (so they intersect)."""
     for _ in range(max_tries):
