@@ -641,14 +641,15 @@ def _climb(ps, spec, w0, keep_normals, oracle: SlackOracle | None, hidden):
     (``_boundary_candidate``): the gradient without its outward part,
     retracted onto the sphere at the facet's level a . x = KEEP_FLOOR, where
     a kept facet's slack is 0.  Otherwise, when the gradient step is
-    rejected, the compass is probed in order of decreasing value.  On a
-    one-dimensional tangent space with a nonzero gradient the compass is the
-    one direction against the gradient, the other being the refused gradient
-    step; otherwise it is ``_compass`` of a tangent basis (``_tangent_basis``,
-    built only then).  With an oracle the result is the
-    best feasible point visited, if any.  The DEBUG stop line counts the
-    evaluations, the compass probes and the boundary steps tried and
-    accepted."""
+    rejected, the compass, ``_compass`` of a tangent basis
+    (``_tangent_basis``, built only then), is probed in order of decreasing
+    value.  A one-dimensional tangent space with a nonzero gradient has no
+    compass: its other direction is against the gradient of the piece that
+    attains the score, which near w can only lower it (Danskin's theorem),
+    so a rejected gradient step only halves the step.  With an oracle the
+    result is the best feasible point visited, if any.  The DEBUG stop line
+    counts the evaluations, the compass probes and the boundary steps tried
+    and accepted."""
     engine_cls = _SvmClimbEngine if spec.kind == "svm" else _IntervalClimbEngine
     engine = engine_cls(ps, spec, keep_normals, hidden)
     if keep_normals is not None and len(keep_normals):
@@ -719,11 +720,8 @@ def _climb(ps, spec, w0, keep_normals, oracle: SlackOracle | None, hidden):
             edge_tried += 1
             moved = bool(try_step(*engine.value(edge, warm), edge))
             edge_accepted += moved
-        elif not moved:
-            if tangent_dim == 1 and gn > 0:
-                dirs = [-gt / gn]
-            else:
-                dirs = _compass(_tangent_basis(w, keep_normals))
+        elif not moved and (tangent_dim > 1 or gn == 0):
+            dirs = _compass(_tangent_basis(w, keep_normals))
             compass_probes += len(dirs)
             scored = sorted((probe(dvec) for dvec in dirs), key=lambda t: -t[0])
             for cand in scored:

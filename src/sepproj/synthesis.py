@@ -11,9 +11,11 @@ destroy the separability of the hidden property:
   direction in the span of the witness differences orthogonal to every keep
   normal; no anchor point is involved and the witness collapses.
 * ``perturb_general_position`` nudges that vector so the projected data is
-  not even non-strictly separable, certified by a Radon configuration: d+1
-  selected points of affine rank d-1 in the image, with strictly positive
-  coefficients on both sides that recombine to one common point.
+  not even non-strictly separable: it re-weights a Kirchberger witness of
+  the projected sides to strictly positive coefficients lam', mu' on d+1
+  selected points and projects along lam' @ P - mu' @ Q.  That makes
+  (lam', -mu') the selected points' affine dependence in the image, a Radon
+  configuration that certifies the result.
 * ``multi_projection_driver`` generalizes to any well-behaved separability
   predicate with a witness extractor, emitting the same kind of basis for
   its own witness (possibly several vectors), or a certified impossibility.
@@ -44,7 +46,6 @@ from .errors import (
 from .geometry import (
     OrthoBasis,
     affine_rank,
-    barycentric_coords,
     complement_basis,
     flat_coordinates,
     orthonormalize,
@@ -278,7 +279,7 @@ MAX_HYPERPLANES = 200000
 # hyperplanes per batched QR: bounds the memory and lets a hit stop early
 _HYPERPLANE_CHUNK = 8192
 PERTURB_EPS = 1e-6       # largest distance of a perturbed direction from +-w
-PERTURB_RETRIES = 40     # perturbation scales tried per anchor
+PERTURB_RETRIES = 40     # perturbation scales tried
 
 
 def general_position_violations(points: np.ndarray, subset_size: int):
@@ -334,13 +335,9 @@ def general_position_violations(points: np.ndarray, subset_size: int):
             return [tuple(int(i) for i in np.flatnonzero(row)[:subset_size])]
 
 
-def _pad_selection(act_p, act_q, Pf, Qf, need, anchor, anchor_locked):
+def _pad_selection(act_p, act_q, Pf, Qf, need):
     """Extend the active index sets to exactly ``need`` points, preferring
-    points that grow the affine rank of the selection.
-
-    When the anchor's coefficient consumes its side's whole mass, that side
-    cannot receive extra points (they could not be made strictly positive),
-    so padding draws from the other side only."""
+    points that grow the affine rank of the selection."""
     sel_p = list(act_p)
     sel_q = list(act_q)
 
@@ -350,8 +347,6 @@ def _pad_selection(act_p, act_q, Pf, Qf, need, anchor, anchor_locked):
 
     pool = [(1, j) for j in range(len(Qf)) if j not in sel_q]
     pool += [(0, i) for i in range(len(Pf)) if i not in sel_p]
-    if anchor_locked:
-        pool = [(s, i) for s, i in pool if s != anchor[0]]
     # the choosy pass keeps a candidate only when it grows the rank, so the
     # rank before each candidate is the last one computed; the second pass
     # keeps every candidate and needs no rank
@@ -417,15 +412,19 @@ def perturb_general_position(P, Q, w):
     separable at all, not even weakly; the returned direction carries a
     verified Radon certificate of that.
 
-    The projected hulls must already intersect.  The perturbation moves the
-    convex-combination certificate to strictly positive coefficients on d+1
-    points while keeping one distinguished coefficient fixed, then re-aims the
-    projection at the point realizing the perturbed combination.  The new
-    direction lies within ``PERTURB_EPS`` of +-w; each anchor gets
-    ``PERTURB_RETRIES`` attempts, halving the perturbation scale between
-    them.  An attempt is accepted when ``_radon_certificate`` certifies the
-    d+1 selected points in the new image flat; no LP runs and no other point
-    is examined, so the cost per attempt is O(d^3) whatever the set size.
+    The projected hulls must already intersect: a Kirchberger witness gives
+    coefficients lam, mu with lam @ Pf = mu @ Qf in the image flat, so
+    lam @ P - mu @ Q lies along w.  The witness support is padded to d+1
+    points, and an attempt at scale ``delta`` mixes the coefficients toward
+    uniform over the selection, lam' = (1 - delta) lam + delta / |sel_p| and
+    likewise mu', which makes every one strictly positive, and projects along
+    lam' @ P_sel - mu' @ Q_sel.  That collapses the two combinations onto one
+    point, so (lam', -mu') is the selection's affine dependence in the new
+    image flat, unique when the image has full affine rank: exactly the
+    Radon configuration that ``_radon_certificate`` accepts.  The new
+    direction lies within ``PERTURB_EPS`` of +-w; ``PERTURB_RETRIES``
+    attempts halve delta between them.  No LP runs and no other point is
+    examined, so the cost per attempt is O(d^3) whatever the set size.
 
     Returns (w_new, info dict).  ``info["certificate"]`` holds the point and
     the coefficients ``lam`` (over ``selected_p``) and ``mu`` (over
@@ -436,8 +435,7 @@ def perturb_general_position(P, Q, w):
     w = np.asarray(w, dtype=float)
     w = w / np.linalg.norm(w)
     d = P.shape[1]
-    n, m = P.shape[0], Q.shape[0]
-    if n + m < d + 1:
+    if len(P) + len(Q) < d + 1:
         raise TooFewPointsError("the two sets together must span the space")
     if d < 2:
         raise EmptySubspaceError("projecting along w leaves a point: needs d >= 2")
@@ -451,116 +449,43 @@ def perturb_general_position(P, Q, w):
         raise NotIntersectingError("projected hulls do not intersect") from exc
     witness = kirchberger_reduce(Pf, Qf, x0, lam0, mu0)
 
-    lam = np.zeros(n)
-    lam[witness.idx_p] = witness.lam
-    mu = np.zeros(m)
-    mu[witness.idx_q] = witness.mu
-    act_p = [int(i) for i in witness.idx_p]
-    act_q = [int(j) for j in witness.idx_q]
-
-    # anchor: any support point works; mid-mass anchors leave the most room
-    # for making every other selected coefficient strictly positive
-    anchors = [(0, i, lam[i]) for i in act_p] + [(1, j, mu[j]) for j in act_q]
-    anchors.sort(key=lambda t: (abs(t[2] - 0.5), t[0], t[1]))
-
-    reasons = []  # why each anchor failed: its last attempt's error
-    for side_a, idx_a, coeff_a in anchors:
-        locked = coeff_a >= 1.0 - 1e-12
-        last_err = "no attempt came within PERTURB_EPS"
-        try:
-            sel_p, sel_q = _pad_selection(act_p, act_q, Pf, Qf, d + 1,
-                                          (side_a, idx_a), locked)
-        except TooFewPointsError as exc:
-            reasons.append(f"{'PQ'[side_a]}[{idx_a}]: {exc}")
+    # lam @ Pf = mu @ Qf, so this difference of the lifted points lies along w
+    x_wit = witness.lam @ P[witness.idx_p] - witness.mu @ Q[witness.idx_q]
+    sel_p, sel_q = _pad_selection([int(i) for i in witness.idx_p],
+                                  [int(j) for j in witness.idx_q], Pf, Qf, d + 1)
+    Ps, Qs = P[sel_p], Q[sel_q]
+    S = np.vstack([Ps, Qs])
+    x_uni = Ps.mean(axis=0) - Qs.mean(axis=0)
+    tiny = RANK_TOL * max(1.0, float(np.abs(S).max()))
+    info = {"selected_p": sel_p, "selected_q": sel_q}
+    reason = "no attempt came within PERTURB_EPS"
+    delta = 1.0
+    for attempt in range(PERTURB_RETRIES):
+        x = (1.0 - delta) * x_wit + delta * x_uni
+        norm = np.linalg.norm(x)
+        if norm <= tiny:
+            reason = "perturbed direction collapsed to zero"
+            delta *= 0.5
             continue
-        info = {"selected_p": sel_p, "selected_q": sel_q,
-                "anchor": (side_a, idx_a)}
-        delta = 1.0
-        for attempt in range(PERTURB_RETRIES):
-            try:
-                w_new = _perturbed_direction(P, Q, Pf, Qf, w, sel_p, sel_q,
-                                             lam, mu, (side_a, idx_a), delta)
-            except DegeneratePositionError as exc:
-                last_err = str(exc)
-                delta *= 0.5
-                continue
-            dist = min(np.linalg.norm(w_new - w), np.linalg.norm(w_new + w))
-            if dist > PERTURB_EPS:
-                # the distance is about linear in delta: skip the halvings
-                # that would still land above PERTURB_EPS
-                delta *= 0.5 ** max(1, math.floor(math.log2(dist / PERTURB_EPS)))
-                continue
-            flat = flat_coordinates(np.vstack([P[sel_p], Q[sel_q]]),
-                                    OrthoBasis(w_new[None, :]))
-            cert = _radon_certificate(flat[:len(sel_p)], flat[len(sel_p):])
-            if cert is None:
-                last_err = "selected points carry no Radon certificate"
-                delta *= 0.5
-                continue
-            x, lam_c, mu_c = cert
-            info.update({"delta": delta, "distance": dist, "attempts": attempt + 1,
-                         "certificate": {"point": x.tolist(), "lam": lam_c.tolist(),
-                                         "mu": mu_c.tolist()}})
-            return w_new, info
-        reasons.append(f"{'PQ'[side_a]}[{idx_a}]: {last_err}")
-    raise DegeneratePositionError(
-        "perturbation failed at every anchor; " + "; ".join(reasons))
-
-
-def _perturbed_direction(P, Q, Pf, Qf, w, sel_p, sel_q, lam, mu, anchor,
-                         delta):
-    """Apply the coefficient perturbation at scale ``delta`` and re-aim the
-    projection at the point realizing the perturbed combination.  Pf and Qf
-    are the flat coordinates of P and Q after projecting along w."""
-    side_a, idx_a = anchor
-    coeff_a = lam[idx_a] if side_a == 0 else mu[idx_a]
-    anchor_flat = Pf[idx_a] if side_a == 0 else Qf[idx_a]
-    anchor_orig = P[idx_a] if side_a == 0 else Q[idx_a]
-
-    lam_new = {i: lam[i] for i in sel_p}
-    mu_new = {j: mu[j] for j in sel_q}
-    a_side_new = lam_new if side_a == 0 else mu_new
-    b_side_new = mu_new if side_a == 0 else lam_new
-    others = [i for i in a_side_new if i != idx_a]
-    if others:
-        rest = 1.0 - coeff_a
-        for i in others:
-            a_side_new[i] = (1.0 - delta) * a_side_new[i] + delta * rest / len(others)
-    for j in b_side_new:
-        b_side_new[j] = (1.0 - delta) * b_side_new[j] + delta / len(b_side_new)
-
-    # barycentric system: every selected point except the anchor
-    sys_flat, sys_orig = [], []
-    for i in sel_p:
-        if not (side_a == 0 and i == idx_a):
-            sys_flat.append(Pf[i])
-            sys_orig.append(P[i])
-    for j in sel_q:
-        if not (side_a == 1 and j == idx_a):
-            sys_flat.append(Qf[j])
-            sys_orig.append(Q[j])
-    S_flat = np.array(sys_flat)
-    S_orig = np.array(sys_orig)
-    if affine_rank(S_flat) < len(S_flat) - 1:
-        raise DegeneratePositionError("barycentric reference points are degenerate")
-
-    target_p = sum(lam_new[i] * Pf[i] for i in sel_p)
-    target_q = sum(mu_new[j] * Qf[j] for j in sel_q)
-    target_own = target_p if side_a == 0 else target_q
-    target_other = target_q if side_a == 0 else target_p
-    c_anchor = barycentric_coords(anchor_flat, S_flat)
-    c_own = barycentric_coords(target_own, S_flat)
-    c_other = barycentric_coords(target_other, S_flat)
-    c_star = c_anchor + (c_other - c_own) / coeff_a
-    p_star = c_star @ S_orig
-    w_raw = anchor_orig - p_star
-    norm = np.linalg.norm(w_raw)
-    if norm <= RANK_TOL:
-        raise DegeneratePositionError("perturbed direction collapsed to zero")
-    w_new = w_raw / norm
-    if w_new @ w < 0:
-        w_new = -w_new
-    return w_new
+        w_new = x / norm if x @ w >= 0 else -x / norm
+        dist = np.linalg.norm(w_new - w)
+        if dist > PERTURB_EPS:
+            # the distance is about linear in delta: skip the halvings
+            # that would still land above PERTURB_EPS
+            delta *= 0.5 ** max(1, math.floor(math.log2(dist / PERTURB_EPS)))
+            continue
+        flat = flat_coordinates(S, OrthoBasis(w_new[None, :]))
+        cert = _radon_certificate(flat[:len(sel_p)], flat[len(sel_p):])
+        if cert is None:
+            reason = "selected points carry no Radon certificate"
+            delta *= 0.5
+            continue
+        point, lam_c, mu_c = cert
+        info.update({"delta": delta, "distance": dist, "attempts": attempt + 1,
+                     "certificate": {"point": point.tolist(), "lam": lam_c.tolist(),
+                                     "mu": mu_c.tolist()}})
+        return w_new, info
+    raise DegeneratePositionError(f"perturbation failed: {reason}")
 
 
 # ---------------------------------------------------------------------------

@@ -843,8 +843,8 @@ def test_boundary_steps_are_logged(caplog):
 
 # ---------------------------------------------------------------------------
 # evaluations per climb iteration: the gradient comes from the last accepted
-# evaluation, and on a one-dimensional tangent space the only compass probe
-# is the one against the refused gradient step
+# evaluation, and a one-dimensional tangent space with a nonzero gradient
+# has no compass to probe
 
 _STOP_LINE = re.compile(r"after (\d+) iterations, (\d+) evaluations, "
                         r"(\d+) compass probes")
@@ -880,6 +880,17 @@ def test_one_dimensional_climbs_evaluate_at_most_twice_per_iteration(
         assert probes <= iterations
         assert evaluations == 1 + iterations + probes
     assert calls == 0
+
+
+def test_one_dimensional_golden_climbs_probe_no_compass(caplog):
+    # the one direction against the gradient can only lower the attaining
+    # piece near w; probing it cost 33 and 37 evaluations that were never
+    # accepted
+    lines = _interval_stop_lines("reduced-1", caplog)
+    assert len(lines) == 2
+    for iterations, evaluations, probes in lines:
+        assert probes == 0
+        assert evaluations == 1 + iterations
 
 
 def test_compass_probes_are_logged(caplog):

@@ -184,22 +184,22 @@ class TestPerturbation:
     # reproduced bit for bit.  The certificate is the Radon configuration
     # of the selected points in the image flat of w_new.
     _GOLDEN = {
-        0: ([0.7123236092087664, -0.560900302024024, -0.421883783704891],
-            {"selected_p": [0, 1], "selected_q": [0, 1], "anchor": (1, 0),
-             "delta": 3.814697265625e-06, "distance": 8.34523986221109e-07,
+        0: ([0.7123232997880062, -0.5609005790508256, -0.4218839378307438],
+            {"selected_p": [0, 1], "selected_q": [0, 1],
+             "delta": 1.9073486328125e-06, "distance": 5.097892123418698e-07,
              "attempts": 3,
              "certificate": {
-                 "point": [-2.2170292280063495, -0.4820468868778156],
-                 "lam": [1.9073486327486185e-06, 0.9999980926513673],
-                 "mu": [0.39856728712678785, 0.6014327128732122]}}),
-        1: ([-0.9568940550467399, 0.2849612212908626, 0.056132608852846766],
-            {"selected_p": [0, 1], "selected_q": [0, 1], "anchor": (0, 0),
-             "delta": 1.9073486328125e-06, "distance": 5.468984485547182e-07,
+                 "point": [-2.217029489037703, -0.4820457384365805],
+                 "lam": [9.536743168018476e-07, 0.9999990463256831],
+                 "mu": [0.39856748059433417, 0.6014325194056659]}}),
+        1: ([-0.9568940544024195, 0.2849612703103978, 0.05613237098487847],
+            {"selected_p": [0, 1], "selected_q": [0, 1],
+             "delta": 1.9073486328125e-06, "distance": 5.09035430334644e-07,
              "attempts": 3,
              "certificate": {
-                 "point": [-0.5522442359228239, 0.038684915951086224],
-                 "lam": [0.09920384509162374, 0.9007961549083762],
-                 "mu": [0.9999990463256834, 9.536743166065328e-07]}}),
+                 "point": [-0.552244211998699, 0.038684588362464994],
+                 "lam": [0.09920460954962139, 0.9007953904503786],
+                 "mu": [0.9999990463256837, 9.536743163294891e-07]}}),
     }
 
     @pytest.mark.parametrize("seed", sorted(_GOLDEN))
@@ -212,12 +212,11 @@ class TestPerturbation:
         assert info == info_expect
 
     @staticmethod
-    def _pad_reference(act_p, act_q, Pf, Qf, need, anchor, anchor_locked):
+    def _pad_reference(act_p, act_q, Pf, Qf, need):
         # the selection rule with the rank taken afresh before each candidate
         sel = (list(act_p), list(act_q))
         pool = [(1, j) for j in range(len(Qf)) if j not in sel[1]]
         pool += [(0, i) for i in range(len(Pf)) if i not in sel[0]]
-        pool = [(s, i) for s, i in pool if not (anchor_locked and s == anchor[0])]
 
         def rank():
             return affine_rank(np.vstack([Pf[sel[0]], Qf[sel[1]]]))
@@ -243,8 +242,7 @@ class TestPerturbation:
             d = int(rng.integers(2, 6))
             Pf = rng.integers(-1, 2, size=(int(rng.integers(2, 9)), d)).astype(float)
             Qf = rng.integers(-1, 2, size=(int(rng.integers(2, 9)), d)).astype(float)
-            args = ([0], [int(rng.integers(len(Qf)))], Pf, Qf, d + 1, (0, 0),
-                    bool(rng.integers(2)))
+            args = ([0], [int(rng.integers(len(Qf)))], Pf, Qf, d + 1)
             try:
                 expect = self._pad_reference(*args)
             except TooFewPointsError:
@@ -284,6 +282,28 @@ class TestPerturbation:
         np.testing.assert_allclose(mu, [2 / 3, 1 / 3], rtol=1e-14)
         check_common_point_certificate(Ps, Qs, x, lam, mu)
 
+    def test_projecting_along_the_weighted_difference_certifies_the_weights(self):
+        # projecting d+1 affinely independent points of R^d along
+        # lam' @ P - mu' @ Q collapses both combinations onto one point, so
+        # (lam', -mu') is their one affine dependence in the image
+        rng = np.random.default_rng(21)
+        for _ in range(500):
+            d = int(rng.integers(2, 8))
+            pts = rng.normal(size=(d + 1, d))
+            assert affine_rank(pts) == d
+            a = int(rng.integers(1, d + 1))
+            P, Q = pts[:a], pts[a:]
+            lam = rng.uniform(0.05, 1.0, size=a)
+            mu = rng.uniform(0.05, 1.0, size=d + 1 - a)
+            lam, mu = lam / lam.sum(), mu / mu.sum()
+            v = lam @ P - mu @ Q
+            basis = OrthoBasis((v / np.linalg.norm(v))[None, :])
+            cert = synthesis._radon_certificate(flat_coordinates(P, basis),
+                                                flat_coordinates(Q, basis))
+            assert cert is not None
+            np.testing.assert_allclose(cert[1], lam, rtol=0, atol=1e-9)
+            np.testing.assert_allclose(cert[2], mu, rtol=0, atol=1e-9)
+
     def test_returned_certificate_revalidates_in_the_image(self):
         ps, out = self._construct(0)
         P, Q = ps.side(0, -1), ps.side(0, +1)
@@ -316,29 +336,21 @@ class TestPerturbation:
         _, info = perturb_general_position(P, Q, w)
         assert info["attempts"] == base["attempts"] + 1
         assert info["delta"] == base["delta"] / 2
-        # refused on every attempt of every anchor: a typed error
+        # refused on every attempt: a typed error
         monkeypatch.setattr(synthesis, "_radon_certificate", lambda Ps, Qs: real(*refused))
         with pytest.raises(DegeneratePositionError, match="perturbation failed"):
             perturb_general_position(P, Q, w)
 
-    def test_failure_names_every_anchor(self, monkeypatch):
-        # the last anchor cannot even be padded; the earlier ones spent
-        # every attempt on refused certificates, and the message says so
+    def test_failure_gives_the_last_reason(self, monkeypatch):
+        # the early attempts land too far from w and the later ones are all
+        # refused, so the one reason is the refused certificate
         ps, out = self._construct(0)
         P, Q, w = ps.side(0, -1), ps.side(0, +1), out.basis.vectors[0]
-        _, base = perturb_general_position(P, Q, w)
         monkeypatch.setattr(synthesis, "_radon_certificate", lambda Ps, Qs: None)
         with pytest.raises(DegeneratePositionError) as err:
             perturb_general_position(P, Q, w)
-        message = str(err.value)
-        reasons = message.split("; ")[1:]
-        assert len(reasons) == 3
-        side, idx = base["anchor"]
-        assert reasons[0] == (f"{'PQ'[side]}[{idx}]: selected points carry no "
-                              "Radon certificate")
-        assert reasons[1].endswith("selected points carry no Radon certificate")
-        assert reasons[2].endswith("usable pool exhausted")
-        assert len({r.split(":")[0] for r in reasons}) == 3
+        assert str(err.value) == ("perturbation failed: selected points carry "
+                                  "no Radon certificate")
 
     @pytest.mark.parametrize("n, d", [(50, 5), (100, 5), (200, 6), (400, 8)])
     def test_perturbs_beyond_the_general_position_cap(self, n, d, monkeypatch):
